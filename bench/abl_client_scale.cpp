@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
       "bench-json", "",
       "write wall-clock / speedup / bit-identity numbers to this JSON file");
   bench::MetricsExport metrics_export;
-  metrics_export.add_flags(flags);
+  metrics_export.add_flags(flags, /*bench_json_alias=*/false);
   flags.parse(argc, argv);
 
   std::vector<Count> scales;

@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
       "with --bench-json: exit nonzero when the jobs=2 speedup is below "
       "this (0 = no gate)");
   bench::MetricsExport metrics_export;
-  metrics_export.add_flags(flags);
+  metrics_export.add_flags(flags, /*bench_json_alias=*/false);
   flags.parse(argc, argv);
 
   const int r = full ? 30 : static_cast<int>(reps);

@@ -43,19 +43,26 @@ inline std::int64_t& add_jobs_flag(util::Flags& flags,
 
 /// --metrics-csv/--metrics-json: write a MetricsSnapshot chosen by the
 /// bench (a representative run, or the sweep-merged aggregate) to disk.
+/// --bench-json is an alias for --metrics-json, except in a bench that
+/// writes its own --bench-json record: that bench passes
+/// `bench_json_alias = false` and owns the name.
 class MetricsExport {
  public:
-  void add_flags(util::Flags& flags) {
+  void add_flags(util::Flags& flags, bool bench_json_alias = true) {
     csv_ = &flags.add_string("metrics-csv", "",
                              "write the bench's MetricsSnapshot as CSV here");
     json_ = &flags.add_string(
         "metrics-json", "", "write the bench's MetricsSnapshot as JSON here");
-    bench_json_ = &flags.add_string(
-        "bench-json", "", "alias for --metrics-json (CI artifact convention)");
+    if (bench_json_alias) {
+      bench_json_ = &flags.add_string(
+          "bench-json", "",
+          "alias for --metrics-json (CI artifact convention)");
+    }
   }
 
   [[nodiscard]] bool requested() const {
-    return !csv_->empty() || !json_->empty() || !bench_json_->empty();
+    return !csv_->empty() || !json_->empty() ||
+           (bench_json_ != nullptr && !bench_json_->empty());
   }
 
   /// Calls `make_snapshot` only when one of the flags was given.
@@ -73,7 +80,7 @@ class MetricsExport {
       obs::write_json(snapshot, out);
       std::cout << "metrics JSON written to " << *json_ << "\n";
     }
-    if (!bench_json_->empty()) {
+    if (bench_json_ != nullptr && !bench_json_->empty()) {
       std::ofstream out(*bench_json_);
       obs::write_json(snapshot, out);
       std::cout << "metrics JSON written to " << *bench_json_ << "\n";

@@ -17,12 +17,16 @@ struct Group {
   Count count = 0;  // how many replicas have this size
 };
 
+// Distinct replica sizes in ascending order, with multiplicities: one
+// run-length pass over the sorted sizes.
 std::vector<Group> group_sizes(const AssignmentPlan& plan) {
-  std::map<Count, Count> hist;
-  for (const Count x : plan.counts()) ++hist[x];
+  std::vector<Count> sizes = plan.counts();
+  std::sort(sizes.begin(), sizes.end());
   std::vector<Group> groups;
-  groups.reserve(hist.size());
-  for (const auto& [v, c] : hist) groups.push_back({v, c});
+  for (const Count x : sizes) {
+    if (groups.empty() || groups.back().size != x) groups.push_back({x, 0});
+    ++groups.back().count;
+  }
   return groups;
 }
 

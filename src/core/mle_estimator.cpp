@@ -5,7 +5,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <set>
+#include <vector>
 
 #include "core/likelihood.h"
 #include "obs/span.h"
@@ -89,13 +89,22 @@ Count MleEstimator::estimate(const ShuffleObservation& obs) const {
   const shuffledef::obs::Span span(options_.registry, "mle.estimate");
   estimates_.inc();
   obs.validate();
-  const Count observed = obs.attacked_count();
+  // attacked_count() and clients_on_attacked() in one pass over the flags,
+  // with no branch per flag: the flags follow the random placement, so such
+  // a branch would mispredict often.
+  Count observed = 0;
+  Count clients_on_attacked = 0;
+  for (std::size_t i = 0; i < obs.attacked.size(); ++i) {
+    const Count hit = obs.attacked[i] ? 1 : 0;
+    observed += hit;
+    clients_on_attacked += hit * obs.plan[i];
+  }
   if (observed == 0) return 0;  // nothing attacked: no persistent bots seen
 
   // Paper bounds: at least one bot per attacked replica; at most every
   // client on an attacked replica is a bot.
   const Count lo_bound = observed;
-  const Count hi_bound = std::max(lo_bound, obs.clients_on_attacked());
+  const Count hi_bound = std::max(lo_bound, clients_on_attacked);
 
   // Paper §V: "for the special case where all shuffling replicas are
   // attacked, the likelihood is always greater with the higher value of M
@@ -130,17 +139,20 @@ Count MleEstimator::estimate(const ShuffleObservation& obs) const {
     Count hi = hi_bound;
     Count best_m = lo;
     double best = -std::numeric_limits<double>::infinity();
+    std::vector<Count> grid;  // one level's candidates, ascending and distinct
     while (true) {
       const Count span = hi - lo;
       const Count points = std::min<Count>(options_.grid_points, span + 1);
       const double step = static_cast<double>(span) /
                           static_cast<double>(std::max<Count>(points - 1, 1));
-      std::set<Count> grid;
+      grid.clear();
       for (Count i = 0; i < points; ++i) {
-        grid.insert(lo +
-                    static_cast<Count>(std::llround(step * static_cast<double>(i))));
+        grid.push_back(lo + static_cast<Count>(std::llround(
+                                step * static_cast<double>(i))));
       }
-      grid.insert(best_m >= lo && best_m <= hi ? best_m : lo);
+      grid.push_back(best_m >= lo && best_m <= hi ? best_m : lo);
+      std::sort(grid.begin(), grid.end());
+      grid.erase(std::unique(grid.begin(), grid.end()), grid.end());
       Count level_best_m = best_m;
       double level_best = best;
       for (const Count m : grid) {

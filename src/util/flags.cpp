@@ -10,60 +10,50 @@ namespace shuffledef::util {
 Flags::Flags(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
 
-std::int64_t& Flags::add_int(const std::string& name,
-                             std::int64_t default_value,
-                             const std::string& help) {
+Flags::Flag& Flags::add(const std::string& name, const std::string& help,
+                        Type type, std::string default_repr) {
+  if (find(name) != nullptr) {
+    throw std::logic_error("flag --" + name + " registered twice");
+  }
   auto flag = std::make_unique<Flag>();
   flag->name = name;
   flag->help = help;
-  flag->type = Type::kInt;
-  flag->int_value = std::make_unique<std::int64_t>(default_value);
-  flag->default_repr = std::to_string(default_value);
-  auto& ref = *flag->int_value;
+  flag->type = type;
+  flag->default_repr = std::move(default_repr);
   flags_.push_back(std::move(flag));
-  return ref;
+  return *flags_.back();
+}
+
+std::int64_t& Flags::add_int(const std::string& name,
+                             std::int64_t default_value,
+                             const std::string& help) {
+  auto& flag = add(name, help, Type::kInt, std::to_string(default_value));
+  flag.int_value = std::make_unique<std::int64_t>(default_value);
+  return *flag.int_value;
 }
 
 double& Flags::add_double(const std::string& name, double default_value,
                           const std::string& help) {
-  auto flag = std::make_unique<Flag>();
-  flag->name = name;
-  flag->help = help;
-  flag->type = Type::kDouble;
-  flag->double_value = std::make_unique<double>(default_value);
   std::ostringstream os;
   os << default_value;
-  flag->default_repr = os.str();
-  auto& ref = *flag->double_value;
-  flags_.push_back(std::move(flag));
-  return ref;
+  auto& flag = add(name, help, Type::kDouble, os.str());
+  flag.double_value = std::make_unique<double>(default_value);
+  return *flag.double_value;
 }
 
 bool& Flags::add_bool(const std::string& name, bool default_value,
                       const std::string& help) {
-  auto flag = std::make_unique<Flag>();
-  flag->name = name;
-  flag->help = help;
-  flag->type = Type::kBool;
-  flag->bool_value = std::make_unique<bool>(default_value);
-  flag->default_repr = default_value ? "true" : "false";
-  auto& ref = *flag->bool_value;
-  flags_.push_back(std::move(flag));
-  return ref;
+  auto& flag = add(name, help, Type::kBool, default_value ? "true" : "false");
+  flag.bool_value = std::make_unique<bool>(default_value);
+  return *flag.bool_value;
 }
 
 std::string& Flags::add_string(const std::string& name,
                                std::string default_value,
                                const std::string& help) {
-  auto flag = std::make_unique<Flag>();
-  flag->name = name;
-  flag->help = help;
-  flag->type = Type::kString;
-  flag->string_value = std::make_unique<std::string>(std::move(default_value));
-  flag->default_repr = *flag->string_value;
-  auto& ref = *flag->string_value;
-  flags_.push_back(std::move(flag));
-  return ref;
+  auto& flag = add(name, help, Type::kString, default_value);
+  flag.string_value = std::make_unique<std::string>(std::move(default_value));
+  return *flag.string_value;
 }
 
 Flags::Flag* Flags::find(const std::string& name) {
@@ -73,28 +63,39 @@ Flags::Flag* Flags::find(const std::string& name) {
   return nullptr;
 }
 
+void Flags::fail(const std::string& message) const {
+  std::cerr << program_ << ": " << message << "\n\n" << usage();
+  std::exit(2);
+}
+
 void Flags::assign(Flag& flag, const std::string& value) {
+  // The whole value must parse: "10x" or "1e6" for an integer is an error,
+  // not 10 or 1.
+  bool ok = true;
   try {
+    std::size_t used = 0;
     switch (flag.type) {
       case Type::kInt:
-        *flag.int_value = std::stoll(value);
+        *flag.int_value = std::stoll(value, &used);
+        ok = used == value.size();
         break;
       case Type::kDouble:
-        *flag.double_value = std::stod(value);
+        *flag.double_value = std::stod(value, &used);
+        ok = used == value.size();
         break;
       case Type::kBool:
-        if (value == "true" || value == "1") *flag.bool_value = true;
-        else if (value == "false" || value == "0") *flag.bool_value = false;
-        else throw std::invalid_argument("bad bool");
+        ok = value == "true" || value == "1" || value == "false" ||
+             value == "0";
+        if (ok) *flag.bool_value = value == "true" || value == "1";
         break;
       case Type::kString:
         *flag.string_value = value;
         break;
     }
-  } catch (const std::exception&) {
-    throw std::invalid_argument("invalid value for --" + flag.name + ": '" +
-                                value + "'");
+  } catch (const std::exception&) {  // no number at all, or out of range
+    ok = false;
   }
+  if (!ok) fail("invalid value for --" + flag.name + ": '" + value + "'");
 }
 
 void Flags::parse(int argc, char** argv) {
@@ -104,9 +105,7 @@ void Flags::parse(int argc, char** argv) {
       std::cout << usage();
       std::exit(0);
     }
-    if (arg.rfind("--", 0) != 0) {
-      throw std::invalid_argument("unexpected positional argument: " + arg);
-    }
+    if (arg.rfind("--", 0) != 0) fail("unexpected positional argument: " + arg);
     arg = arg.substr(2);
     std::string value;
     bool has_value = false;
@@ -116,17 +115,13 @@ void Flags::parse(int argc, char** argv) {
       has_value = true;
     }
     Flag* flag = find(arg);
-    if (flag == nullptr) {
-      throw std::invalid_argument("unknown flag --" + arg + "\n" + usage());
-    }
+    if (flag == nullptr) fail("unknown flag --" + arg);
     if (!has_value) {
       if (flag->type == Type::kBool) {
         *flag->bool_value = true;
         continue;
       }
-      if (i + 1 >= argc) {
-        throw std::invalid_argument("missing value for --" + arg);
-      }
+      if (i + 1 >= argc) fail("missing value for --" + arg);
       value = argv[++i];
     }
     assign(*flag, value);

@@ -3,9 +3,10 @@
 //   util::Flags flags("fig08", "Reproduces Figure 8");
 //   auto& reps = flags.add_int("reps", 30, "repetitions per data point");
 //   auto& full = flags.add_bool("full", false, "paper-scale parameters");
-//   flags.parse(argc, argv);        // exits(0) on --help, throws on errors
+//   flags.parse(argc, argv);        // exit(0) on --help, exit(2) on errors
 //
 // Accepted syntaxes: --name value, --name=value, and bare --name for bools.
+// Each name has one owner: registering it twice throws std::logic_error.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +29,10 @@ class Flags {
   std::string& add_string(const std::string& name, std::string default_value,
                           const std::string& help);
 
-  /// Parse argv.  Prints usage and exits(0) if --help is present; throws
-  /// std::invalid_argument on unknown flags or malformed values.
+  /// Parse argv.  Prints usage to stdout and exits 0 if --help is present.
+  /// An unknown flag, a stray positional argument, a missing value or a
+  /// value that does not parse in full prints the message and usage to
+  /// stderr and exits 2.
   void parse(int argc, char** argv);
 
   [[nodiscard]] std::string usage() const;
@@ -47,8 +50,11 @@ class Flags {
     std::string default_repr;
   };
 
+  Flag& add(const std::string& name, const std::string& help, Type type,
+            std::string default_repr);
   Flag* find(const std::string& name);
   void assign(Flag& flag, const std::string& value);
+  [[noreturn]] void fail(const std::string& message) const;
 
   std::string program_;
   std::string description_;

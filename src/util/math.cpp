@@ -39,6 +39,15 @@ inline double log_binomial_from(const double* table, std::int64_t n,
          log_factorial_from(table, n - k);
 }
 
+inline double log_hypergeometric_pmf_from(const double* table,
+                                          std::int64_t total,
+                                          std::int64_t successes,
+                                          std::int64_t draws, std::int64_t k) {
+  return log_binomial_from(table, successes, k) +
+         log_binomial_from(table, total - successes, draws - k) -
+         log_binomial_from(table, total, draws);
+}
+
 std::atomic<bool> math_tables_warm_flag{false};
 
 }  // namespace
@@ -88,10 +97,8 @@ double log_hypergeometric_pmf(std::int64_t total, std::int64_t successes,
   if (k < 0 || k > draws || k > successes || draws - k > total - successes) {
     return kNegInf;
   }
-  const double* table = log_fact_table();
-  return log_binomial_from(table, successes, k) +
-         log_binomial_from(table, total - successes, draws - k) -
-         log_binomial_from(table, total, draws);
+  return log_hypergeometric_pmf_from(log_fact_table(), total, successes,
+                                     draws, k);
 }
 
 double hypergeometric_pmf(std::int64_t total, std::int64_t successes,
@@ -99,6 +106,15 @@ double hypergeometric_pmf(std::int64_t total, std::int64_t successes,
   const double lp = log_hypergeometric_pmf(total, successes, draws, k);
   if (lp == kNegInf) return 0.0;
   return std::exp(lp);
+}
+
+double hypergeometric_pmf_in_support(std::int64_t total,
+                                     std::int64_t successes,
+                                     std::int64_t draws, std::int64_t k) {
+  // Inside the support the log pmf is finite, so hypergeometric_pmf's
+  // -infinity test cannot fire either.
+  return std::exp(log_hypergeometric_pmf_from(log_fact_table(), total,
+                                              successes, draws, k));
 }
 
 double hypergeometric_mean(std::int64_t total, std::int64_t successes,
@@ -115,15 +131,6 @@ double hypergeometric_var(std::int64_t total, std::int64_t successes,
   const double s = static_cast<double>(successes);
   const double d = static_cast<double>(draws);
   return d * (s / t) * (1.0 - s / t) * ((t - d) / (t - 1.0));
-}
-
-HypergeomSupport hypergeometric_support(std::int64_t total,
-                                        std::int64_t successes,
-                                        std::int64_t draws) {
-  HypergeomSupport s;
-  s.lo = std::max<std::int64_t>(0, draws - (total - successes));
-  s.hi = std::min(draws, successes);
-  return s;
 }
 
 double log_sum_exp(std::span<const double> xs) {

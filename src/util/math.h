@@ -6,6 +6,7 @@
 // with a cached log-factorial table.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -51,6 +52,14 @@ double hypergeometric_pmf(std::int64_t total, std::int64_t successes,
 double log_hypergeometric_pmf(std::int64_t total, std::int64_t successes,
                               std::int64_t draws, std::int64_t k);
 
+/// hypergeometric_pmf for parameters the caller has already validated
+/// (0 <= successes, draws <= total) and k inside hypergeometric_support:
+/// the same double, bit for bit, without re-checking the arguments.  The
+/// samplers' per-draw anchor probability.
+double hypergeometric_pmf_in_support(std::int64_t total,
+                                     std::int64_t successes,
+                                     std::int64_t draws, std::int64_t k);
+
 /// Mean of the hypergeometric distribution.
 double hypergeometric_mean(std::int64_t total, std::int64_t successes,
                            std::int64_t draws);
@@ -64,9 +73,12 @@ struct HypergeomSupport {
   std::int64_t lo = 0;
   std::int64_t hi = 0;
 };
-HypergeomSupport hypergeometric_support(std::int64_t total,
-                                        std::int64_t successes,
-                                        std::int64_t draws);
+inline HypergeomSupport hypergeometric_support(std::int64_t total,
+                                               std::int64_t successes,
+                                               std::int64_t draws) {
+  return {std::max<std::int64_t>(0, draws - (total - successes)),
+          std::min(draws, successes)};
+}
 
 /// Numerically stable log(sum(exp(x_i))).  Empty input yields -infinity.
 double log_sum_exp(std::span<const double> xs);

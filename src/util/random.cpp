@@ -15,14 +15,44 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-Rng::Rng(std::uint64_t seed) : seed_(seed) {
+namespace {
+
+// Seed the Mersenne twister with a full state derived from splitmix64,
+// avoiding the classic low-entropy single-word seeding problem.
+Mt19937_64 seeded_engine(std::uint64_t seed) {
   std::uint64_t s = seed;
-  // Seed the Mersenne twister with a full state derived from splitmix64,
-  // avoiding the classic low-entropy single-word seeding problem.
   std::seed_seq seq{splitmix64(s), splitmix64(s), splitmix64(s), splitmix64(s),
                     splitmix64(s), splitmix64(s), splitmix64(s), splitmix64(s)};
-  engine_.seed(seq);
+  return Mt19937_64(seq);
 }
+
+}  // namespace
+
+void Mt19937_64::twist() {
+  // mt19937_64 recurrence ([rand.eng.mers], m = 156, a = 0xB5026F5AA96619E9):
+  //   x[k] = x[k + m] ^ (y >> 1) ^ (y odd ? a : 0),
+  // y = upper 33 bits of x[k] joined to the lower 31 of x[k + 1].  The odd
+  // test is a mask, not a branch: the low bit of y is a coin flip.
+  constexpr std::size_t kShift = 156;
+  constexpr std::uint64_t kMatrix = 0xB5026F5AA96619E9ULL;
+  const auto next = [](std::uint64_t hi_word, std::uint64_t lo_word,
+                       std::uint64_t shifted) {
+    const std::uint64_t y = (hi_word & kUpperMask) | (lo_word & ~kUpperMask);
+    return shifted ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrix);
+  };
+  std::size_t k = 0;
+  for (; k < kStateWords - kShift; ++k) {
+    state_[k] = next(state_[k], state_[k + 1], state_[k + kShift]);
+  }
+  for (; k < kStateWords - 1; ++k) {
+    state_[k] =
+        next(state_[k], state_[k + 1], state_[k + kShift - kStateWords]);
+  }
+  state_[k] = next(state_[k], state_[0], state_[kShift - 1]);
+  pos_ = 0;
+}
+
+Rng::Rng(std::uint64_t seed) : seed_(seed), engine_(seeded_engine(seed)) {}
 
 Rng Rng::fork(std::uint64_t salt) const {
   std::uint64_t s = seed_ ^ (0xA5A5A5A5DEADBEEFULL + salt * 0x9E3779B97F4A7C15ULL);
@@ -36,23 +66,8 @@ SmallRng Rng::fork_small(std::uint64_t salt) const {
   return SmallRng(splitmix64(s));
 }
 
-std::uint64_t Rng::next_u64() { return engine_(); }
-
-double Rng::uniform() {
-  // 53 random bits -> double in [0, 1).
-  return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
-}
-
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  if (lo > hi) throw std::invalid_argument("uniform_int: lo > hi");
-  std::uniform_int_distribution<std::int64_t> dist(lo, hi);
-  return dist(engine_);
-}
-
-bool Rng::bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
+void Rng::throw_empty_range() {
+  throw std::invalid_argument("uniform_int: lo > hi");
 }
 
 std::int64_t Rng::poisson(double mean) {
@@ -87,6 +102,12 @@ std::int64_t Rng::hypergeometric(std::int64_t total, std::int64_t successes,
       draws > total) {
     throw std::invalid_argument("hypergeometric: invalid parameters");
   }
+  return hypergeometric_unchecked(total, successes, draws);
+}
+
+std::int64_t Rng::hypergeometric_unchecked(std::int64_t total,
+                                           std::int64_t successes,
+                                           std::int64_t draws) {
   const auto support = hypergeometric_support(total, successes, draws);
   if (support.lo == support.hi) return support.lo;
 
@@ -101,7 +122,8 @@ std::int64_t Rng::hypergeometric(std::int64_t total, std::int64_t successes,
   const std::int64_t anchor = std::clamp(mode, support.lo, support.hi);
 
   const double u = uniform();
-  const double p_anchor = hypergeometric_pmf(total, successes, draws, anchor);
+  const double p_anchor =
+      hypergeometric_pmf_in_support(total, successes, draws, anchor);
 
   double cum = p_anchor;
   if (u < cum) return anchor;
@@ -148,6 +170,8 @@ std::vector<std::int64_t> Rng::multivariate_hypergeometric(
     throw std::invalid_argument(
         "multivariate_hypergeometric: successes out of range");
   }
+  // Every per-bucket draw below is valid by construction: 0 <= sz <=
+  // remaining_total and 0 <= remaining_successes <= remaining_total.
   std::vector<std::int64_t> out(bucket_sizes.size(), 0);
   std::int64_t remaining_total = total;
   std::int64_t remaining_successes = successes;
@@ -160,7 +184,7 @@ std::vector<std::int64_t> Rng::multivariate_hypergeometric(
       break;
     }
     const std::int64_t b =
-        hypergeometric(remaining_total, remaining_successes, sz);
+        hypergeometric_unchecked(remaining_total, remaining_successes, sz);
     out[i] = b;
     remaining_total -= sz;
     remaining_successes -= b;

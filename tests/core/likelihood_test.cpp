@@ -53,6 +53,16 @@ struct PmfCase {
   Count bots;
 };
 
+// Without this, gtest prints the raw bytes of the case, vector pointers
+// included, so the discovered ctest names would change from run to run.
+std::ostream& operator<<(std::ostream& os, const PmfCase& c) {
+  os << "sizes=";
+  for (std::size_t i = 0; i < c.sizes.size(); ++i) {
+    os << (i == 0 ? "" : ",") << c.sizes[i];
+  }
+  return os << " M=" << c.bots;
+}
+
 class ExactVsMonteCarlo : public ::testing::TestWithParam<PmfCase> {};
 
 TEST_P(ExactVsMonteCarlo, Agrees) {

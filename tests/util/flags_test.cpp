@@ -1,6 +1,8 @@
 #include "util/flags.h"
 
 #include <gtest/gtest.h>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace shuffledef::util {
@@ -48,38 +50,60 @@ TEST(Flags, BoolExplicitValues) {
   EXPECT_FALSE(b);
 }
 
+// Bad command lines print the message and usage to stderr and exit 2.
+void parse_args(Flags& flags, std::vector<std::string> args) {
+  auto argv = argv_of(args);
+  flags.parse(static_cast<int>(argv.size()), argv.data());
+}
+
 TEST(Flags, UnknownFlagThrows) {
   Flags flags("test", "t");
-  std::vector<std::string> args = {"prog", "--nope", "1"};
-  auto argv = argv_of(args);
-  EXPECT_THROW(flags.parse(static_cast<int>(argv.size()), argv.data()),
-               std::invalid_argument);
+  flags.add_int("n", 0, "the n flag");
+  EXPECT_EXIT(parse_args(flags, {"prog", "--nope", "1"}),
+              ::testing::ExitedWithCode(2),
+              "test: unknown flag --nope(.|\n)*Flags:(.|\n)*the n flag");
 }
 
 TEST(Flags, MalformedValueThrows) {
   Flags flags("test", "t");
   flags.add_int("n", 0, "n");
-  std::vector<std::string> args = {"prog", "--n", "abc"};
-  auto argv = argv_of(args);
-  EXPECT_THROW(flags.parse(static_cast<int>(argv.size()), argv.data()),
-               std::invalid_argument);
+  flags.add_double("rate", 0.5, "r");
+  flags.add_bool("on", false, "b");
+  EXPECT_EXIT(parse_args(flags, {"prog", "--n", "abc"}),
+              ::testing::ExitedWithCode(2), "invalid value for --n: 'abc'");
+  // A value must parse in full: no silent truncation to a prefix.
+  EXPECT_EXIT(parse_args(flags, {"prog", "--n=10x"}),
+              ::testing::ExitedWithCode(2), "invalid value for --n: '10x'");
+  EXPECT_EXIT(parse_args(flags, {"prog", "--n", "1e6"}),
+              ::testing::ExitedWithCode(2), "invalid value for --n: '1e6'");
+  EXPECT_EXIT(parse_args(flags, {"prog", "--n", "99999999999999999999"}),
+              ::testing::ExitedWithCode(2), "invalid value for --n");
+  EXPECT_EXIT(parse_args(flags, {"prog", "--rate", "0.5s"}),
+              ::testing::ExitedWithCode(2), "invalid value for --rate");
+  EXPECT_EXIT(parse_args(flags, {"prog", "--on=yes"}),
+              ::testing::ExitedWithCode(2), "invalid value for --on: 'yes'");
 }
 
 TEST(Flags, MissingValueThrows) {
   Flags flags("test", "t");
   flags.add_int("n", 0, "n");
-  std::vector<std::string> args = {"prog", "--n"};
-  auto argv = argv_of(args);
-  EXPECT_THROW(flags.parse(static_cast<int>(argv.size()), argv.data()),
-               std::invalid_argument);
+  EXPECT_EXIT(parse_args(flags, {"prog", "--n"}), ::testing::ExitedWithCode(2),
+              "missing value for --n");
 }
 
 TEST(Flags, PositionalArgumentThrows) {
   Flags flags("test", "t");
-  std::vector<std::string> args = {"prog", "stray"};
-  auto argv = argv_of(args);
-  EXPECT_THROW(flags.parse(static_cast<int>(argv.size()), argv.data()),
-               std::invalid_argument);
+  EXPECT_EXIT(parse_args(flags, {"prog", "stray"}),
+              ::testing::ExitedWithCode(2),
+              "unexpected positional argument: stray");
+}
+
+TEST(Flags, DuplicateRegistrationThrows) {
+  // Each name has one owner; a second registration would be dead code.
+  Flags flags("test", "t");
+  flags.add_string("out", "", "first owner");
+  EXPECT_THROW(flags.add_string("out", "", "second owner"), std::logic_error);
+  EXPECT_THROW(flags.add_int("out", 0, "other type"), std::logic_error);
 }
 
 TEST(Flags, UsageMentionsFlagsAndDefaults) {
