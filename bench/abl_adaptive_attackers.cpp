@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_main.h"
 #include "shuffle_series.h"
 #include "sim/client_sim.h"
 #include "sim/shuffle_sim.h"
@@ -54,9 +55,7 @@ core::ControllerConfig controller_config(const ControllerRow& c) {
   return config;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   util::Flags flags("abl_adaptive_attackers",
                     "Ablation: adaptive adversaries vs controller variants "
                     "in both simulators");
@@ -74,6 +73,7 @@ int main(int argc, char** argv) {
   bench::MetricsExport metrics_export;
   metrics_export.add_flags(flags);
   flags.parse(argc, argv);
+  bench::require_reps(reps);
 
   const auto make_params = [](const char* name,
                               core::StrategyOptions options = {}) {
@@ -206,4 +206,10 @@ int main(int argc, char** argv) {
                "controller declines late, low-value rounds without giving up "
                "the safe fraction." << std::endl;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

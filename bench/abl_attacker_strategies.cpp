@@ -9,6 +9,7 @@
 #include <array>
 #include <iostream>
 
+#include "bench_main.h"
 #include "shuffle_series.h"
 #include "sim/client_sim.h"
 #include "util/flags.h"
@@ -17,7 +18,9 @@
 using namespace shuffledef;
 using core::Count;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_bench(int argc, char** argv) {
   util::Flags flags("abl_attacker_strategies",
                     "Ablation: attacker strategies vs the stateless defense");
   auto& benign = flags.add_int("benign", 2000, "benign clients");
@@ -29,6 +32,7 @@ int main(int argc, char** argv) {
   bench::MetricsExport metrics_export;
   metrics_export.add_flags(flags);
   flags.parse(argc, argv);
+  bench::require_reps(reps);
 
   struct Row {
     const char* label;
@@ -113,4 +117,10 @@ int main(int argc, char** argv) {
                "lowers delivered attack intensity; naive bots are evaded "
                "instantly." << std::endl;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "bench_main.h"
 #include "shuffle_series.h"
 #include "sim/client_sim.h"
 #include "sim/client_sim_reference.h"
@@ -47,9 +48,7 @@ sim::ClientSimConfig scale_config(Count clients, Count rounds,
   return cfg;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   util::Flags flags("abl_client_scale",
                     "Client-level simulator at 10^4..10^6 clients: SoA vs "
                     "reference engine, thread-count bit-identity, speedup");
@@ -66,6 +65,7 @@ int main(int argc, char** argv) {
   bench::MetricsExport metrics_export;
   metrics_export.add_flags(flags, /*bench_json_alias=*/false);
   flags.parse(argc, argv);
+  bench::require_reps(reps);
 
   std::vector<Count> scales;
   for (const Count n : {Count{10000}, Count{100000}, Count{1000000}}) {
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
     double ref_s = 0.0;
     std::vector<double> soa_s;  // one per thread_grid entry
   };
-  const int timing_reps = std::max<int>(1, static_cast<int>(reps));
+  const int timing_reps = static_cast<int>(reps);
   const auto timed_min = [&](const auto& run_once) {
     double best = 0.0;
     for (int rep = 0; rep < timing_reps; ++rep) {
@@ -216,4 +216,10 @@ int main(int argc, char** argv) {
                "N=10^6 x " << rounds << " rounds runs >= 10x faster."
             << std::endl;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

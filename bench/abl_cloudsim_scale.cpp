@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "bench_main.h"
 #include "cloudsim/scenario.h"
 #include "shuffle_series.h"
 #include "sim/sweep.h"
@@ -118,9 +119,7 @@ void run_reference(std::int64_t clients, std::uint64_t seed, double horizon) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   util::Flags flags("abl_cloudsim_scale",
                     "Packet-level cloudsim at 10^4..10^6 clients: flat "
                     "ClientSwarm vs per-object agents, shard-thread "
@@ -136,6 +135,8 @@ int main(int argc, char** argv) {
       "bench-json", "",
       "write wall-clock / speedup / bit-identity numbers to this JSON file");
   flags.parse(argc, argv);
+  bench::require_reps(reps);
+  bench::require_horizon(horizon);
 
   std::vector<std::int64_t> scales;
   for (const std::int64_t n : {10'000, 100'000, 1'000'000}) {
@@ -193,7 +194,7 @@ int main(int argc, char** argv) {
     double ref_s = 0.0;  // 0 = not raced at this scale
     std::vector<double> flat_s;  // one per thread_grid entry
   };
-  const int timing_reps = std::max<int>(1, static_cast<int>(reps));
+  const int timing_reps = static_cast<int>(reps);
   const auto timed_min = [&](const auto& run_once) {
     double best = 0.0;
     for (int rep = 0; rep < timing_reps; ++rep) {
@@ -280,4 +281,10 @@ int main(int argc, char** argv) {
                "(replica crash + lossy lanes) up to N="
             << scales.back() << "." << std::endl;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

@@ -18,6 +18,7 @@
 #include <array>
 #include <iostream>
 
+#include "bench_main.h"
 #include "core/cost_model.h"
 #include "shuffle_series.h"
 #include "util/flags.h"
@@ -26,7 +27,9 @@
 using namespace shuffledef;
 using core::Count;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_bench(int argc, char** argv) {
   util::Flags flags("abl_cost_vs_expansion",
                     "Ablation: cost of shuffling vs pure server expansion");
   auto& benign = flags.add_int("benign", 20000, "benign clients");
@@ -122,4 +125,10 @@ int main(int argc, char** argv) {
                "count (expansion scales ~M/ln(1/f); shuffling's fleet is "
                "fixed and its rounds grow sublinearly)." << std::endl;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

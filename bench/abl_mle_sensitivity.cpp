@@ -9,6 +9,7 @@
 #include <iostream>
 #include <utility>
 
+#include "bench_main.h"
 #include "shuffle_series.h"
 #include "util/flags.h"
 #include "util/table.h"
@@ -16,7 +17,9 @@
 using namespace shuffledef;
 using core::Count;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_bench(int argc, char** argv) {
   util::Flags flags("abl_mle_sensitivity",
                     "Ablation: planner sensitivity to bot-count estimation error");
   auto& benign = flags.add_int("benign", 10000, "benign clients");
@@ -28,6 +31,7 @@ int main(int argc, char** argv) {
   bench::MetricsExport metrics_export;
   metrics_export.add_flags(flags);
   flags.parse(argc, argv);
+  bench::require_reps(reps);
 
   util::Table table("MLE sensitivity — shuffles to save 80% / 95% of " +
                     std::to_string(benign) + " benign vs " +
@@ -99,4 +103,10 @@ int main(int argc, char** argv) {
                "MLE tracks the oracle closely — the estimator is accurate "
                "enough where it matters." << std::endl;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

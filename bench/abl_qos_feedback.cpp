@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "bench_main.h"
 #include "cloudsim/scenario.h"
 #include "shuffle_series.h"
 #include "util/flags.h"
@@ -122,9 +123,7 @@ VariantResult run_variant(std::string name, ScenarioConfig cfg,
   return r;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   util::Flags flags("abl_qos_feedback",
                     "Ablation: latency-feedback trigger vs fixed cadences");
   auto& clients = flags.add_int("clients", 16, "browsing benign clients");
@@ -137,6 +136,7 @@ int main(int argc, char** argv) {
   auto& bench_json = flags.add_string(
       "bench-json", "", "write machine-readable results (BENCH_qos.json)");
   flags.parse(argc, argv);
+  bench::require_horizon(horizon);
 
   const std::vector<double> cadences = {1.0, 2.0, 4.0, 8.0};
 
@@ -220,4 +220,10 @@ int main(int argc, char** argv) {
     out.write(bench_json);
   }
   return wins ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

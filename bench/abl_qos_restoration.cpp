@@ -14,6 +14,7 @@
 // (loads + timeouts)) and mean page latency across all benign clients.
 #include <iostream>
 
+#include "bench_main.h"
 #include "cloudsim/scenario.h"
 #include "shuffle_series.h"
 #include "util/flags.h"
@@ -90,9 +91,7 @@ std::vector<WindowStats> run_world(bool defended, int clients, int bots,
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   util::Flags flags("abl_qos_restoration",
                     "Ablation: benign QoS with and without the defense");
   auto& clients = flags.add_int("clients", 40, "browsing benign clients");
@@ -104,6 +103,7 @@ int main(int argc, char** argv) {
   bench::MetricsExport metrics_export;
   metrics_export.add_flags(flags);
   flags.parse(argc, argv);
+  bench::require_horizon(horizon);
 
   // The two worlds are independent simulations; --jobs 2 runs them side by
   // side with results identical to the serial order.
@@ -140,4 +140,10 @@ int main(int argc, char** argv) {
                "the undefended world stays degraded for the whole attack."
             << std::endl;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

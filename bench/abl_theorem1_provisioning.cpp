@@ -6,6 +6,7 @@
 // well-conditioned for a given bot count.
 #include <iostream>
 
+#include "bench_main.h"
 #include "core/provisioning.h"
 #include "shuffle_series.h"
 #include "util/flags.h"
@@ -39,9 +40,7 @@ double simulated_clean(Count replicas, Count bots, int reps,
   return acc.mean();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   util::Flags flags("abl_theorem1_provisioning",
                     "Ablation: Theorem 1 thresholds and provisioning");
   auto& reps = flags.add_int("reps", 300, "simulation reps per row");
@@ -49,6 +48,7 @@ int main(int argc, char** argv) {
   bench::MetricsExport metrics_export;
   metrics_export.add_flags(flags);
   flags.parse(argc, argv);
+  bench::require_reps(reps);
 
   util::Table t1("Theorem 1 — all-attacked threshold M* and E(X) around it");
   t1.set_headers({"replicas P", "threshold M*", "E(X) at M*",
@@ -90,4 +90,10 @@ int main(int argc, char** argv) {
                "simulation, and the provisioning rule keeps E(clean) >= 1."
             << std::endl;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

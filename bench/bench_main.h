@@ -1,0 +1,50 @@
+// Shared entry point of the bench binaries.  Every bench's main runs its
+// body through guarded_main, so a bad configuration ends the way a bad flag
+// does (util::Flags): a one-line message on stderr and exit code 2, not
+// std::terminate.  require_reps / require_horizon reject the two numeric
+// flags whose bad values would otherwise crash a run or silently simulate
+// nothing; benches call them right after parsing.
+#pragma once
+
+#include <cmath>
+#include <cstdint>
+#include <exception>
+#include <iostream>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+
+namespace shuffledef::bench {
+
+/// Runs body(argc, argv).  An exception out of it prints
+/// `<program>: <what>` to stderr (program = basename of argv[0]) and
+/// returns 2.
+inline int guarded_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::string_view program = argc > 0 ? argv[0] : "bench";
+    program.remove_prefix(program.find_last_of('/') + 1);
+    std::cerr << program << ": " << e.what() << "\n";
+    return 2;
+  }
+}
+
+/// Throws std::invalid_argument unless --reps is at least 1.
+inline void require_reps(std::int64_t reps) {
+  if (reps < 1) {
+    throw std::invalid_argument("--reps must be >= 1 (got " +
+                                std::to_string(reps) + ")");
+  }
+}
+
+/// Throws std::invalid_argument unless --horizon is finite and positive.
+inline void require_horizon(double horizon) {
+  if (!std::isfinite(horizon) || horizon <= 0.0) {
+    throw std::invalid_argument(
+        "--horizon must be a finite number of seconds > 0 (got " +
+        std::to_string(horizon) + ")");
+  }
+}
+
+}  // namespace shuffledef::bench

@@ -1,0 +1,22 @@
+# Bad configuration values must end a bench with a message and exit code 2,
+# not std::terminate or a silently empty run.  Run by ctest as
+#   cmake -DFIG08=<fig08 binary> -DCLOUDSIM=<abl_cloudsim_scale binary>
+#         -P expect_bad_config.cmake
+
+function(expect_exit_2 expected_stderr)
+  execute_process(COMMAND ${ARGN} RESULT_VARIABLE code OUTPUT_QUIET
+                  ERROR_VARIABLE err)
+  if(NOT code STREQUAL "2")
+    message(FATAL_ERROR "`${ARGN}` exited with '${code}', expected 2:\n${err}")
+  endif()
+  string(FIND "${err}" "${expected_stderr}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR
+            "`${ARGN}` stderr lacks '${expected_stderr}':\n${err}")
+  endif()
+endfunction()
+
+expect_exit_2("fig08_shuffles_vs_bots: --reps must be >= 1 (got -1)"
+              ${FIG08} --reps -1)
+expect_exit_2("abl_cloudsim_scale: --horizon must be a finite number"
+              ${CLOUDSIM} --horizon nan)

@@ -13,6 +13,7 @@
 #include <iostream>
 #include <utility>
 
+#include "bench_main.h"
 #include "core/algorithm_one.h"
 #include "core/greedy_planner.h"
 #include "core/plan.h"
@@ -30,9 +31,7 @@ double saved_percent(double expected_saved, Count benign) {
   return benign > 0 ? 100.0 * expected_saved / static_cast<double>(benign) : 0.0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   util::Flags flags("fig03_greedy_vs_dp",
                     "Figure 3: greedy vs dynamic programming, one shuffle");
   auto& clients = flags.add_int("clients", 1000, "N, total clients");
@@ -130,4 +129,10 @@ int main(int argc, char** argv) {
   std::cout << "Reproduction check: greedy and dp columns should overlap "
                "(gap well under a few percent)." << std::endl;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

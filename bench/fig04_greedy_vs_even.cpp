@@ -8,6 +8,7 @@
 #include <iostream>
 #include <utility>
 
+#include "bench_main.h"
 #include "core/even_planner.h"
 #include "core/greedy_planner.h"
 #include "core/plan.h"
@@ -18,7 +19,9 @@
 using namespace shuffledef;
 using core::Count;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_bench(int argc, char** argv) {
   util::Flags flags("fig04_greedy_vs_even",
                     "Figure 4: greedy vs even distribution, one shuffle");
   auto& clients = flags.add_int("clients", 1000, "N, total clients");
@@ -66,4 +69,10 @@ int main(int argc, char** argv) {
                "replicas, then collapses towards 0 once bots >> replicas."
             << std::endl;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

@@ -17,6 +17,7 @@
 #include <iostream>
 #include <utility>
 
+#include "bench_main.h"
 #include "core/algorithm_one.h"
 #include "core/planner_cache.h"
 #include "core/separable_dp.h"
@@ -29,7 +30,9 @@
 using namespace shuffledef;
 using core::Count;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_bench(int argc, char** argv) {
   util::Flags flags("fig05_dp_runtime",
                     "Figure 5: running time of the DP algorithm");
   auto& scaled_n = flags.add_int("scaled-clients", 100,
@@ -248,4 +251,10 @@ int main(int argc, char** argv) {
                "constant is accounted for.  The separable DP answers the "
                "same question in milliseconds outright." << std::endl;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

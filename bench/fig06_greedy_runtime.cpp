@@ -8,6 +8,7 @@
 #include <iostream>
 #include <utility>
 
+#include "bench_main.h"
 #include "core/greedy_planner.h"
 #include "shuffle_series.h"
 #include "util/flags.h"
@@ -17,7 +18,9 @@
 using namespace shuffledef;
 using core::Count;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_bench(int argc, char** argv) {
   util::Flags flags("fig06_greedy_runtime",
                     "Figure 6: running time of the greedy algorithm");
   auto& clients = flags.add_int("clients", 1000, "N, total clients");
@@ -66,4 +69,10 @@ int main(int argc, char** argv) {
                "below Figure 5's DP and safe to run on every live shuffle."
             << std::endl;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

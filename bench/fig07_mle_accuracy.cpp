@@ -11,6 +11,7 @@
 #include <iostream>
 #include <utility>
 
+#include "bench_main.h"
 #include "core/mle_estimator.h"
 #include "shuffle_series.h"
 #include "util/flags.h"
@@ -20,7 +21,9 @@
 using namespace shuffledef;
 using core::Count;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_bench(int argc, char** argv) {
   util::Flags flags("fig07_mle_accuracy", "Figure 7: MLE accuracy");
   auto& clients = flags.add_int("clients", 10000, "N, total clients");
   auto& replicas = flags.add_int("replicas", 100, "P, shuffling replicas");
@@ -30,6 +33,7 @@ int main(int argc, char** argv) {
   bench::MetricsExport metrics_export;
   metrics_export.add_flags(flags);
   flags.parse(argc, argv);
+  bench::require_reps(reps);
 
   const Count per_replica = clients / replicas;
   const core::AssignmentPlan plan(std::vector<Count>(
@@ -93,4 +97,10 @@ int main(int argc, char** argv) {
                "attacked percentage saturates at 100%, then explode towards "
                "N — the paper's degenerate regime." << std::endl;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

@@ -22,6 +22,7 @@
 #include <thread>
 
 #include "bench_json.h"
+#include "bench_main.h"
 #include "shuffle_series.h"
 #include "util/flags.h"
 #include "util/math.h"
@@ -47,9 +48,7 @@ std::vector<std::size_t> parse_jobs_list(const std::string& spec) {
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   util::Flags flags("fig08_shuffles_vs_bots",
                     "Figure 8: shuffles to save benign clients vs bot count");
   auto& reps = flags.add_int("reps", 30, "repetitions per data point");
@@ -75,6 +74,7 @@ int main(int argc, char** argv) {
   bench::MetricsExport metrics_export;
   metrics_export.add_flags(flags, /*bench_json_alias=*/false);
   flags.parse(argc, argv);
+  bench::require_reps(reps);
 
   const int r = full ? 30 : static_cast<int>(reps);
   std::vector<Count> bot_counts;
@@ -111,15 +111,19 @@ int main(int argc, char** argv) {
   const std::size_t jobs = sim::SweepRunner(sim::SweepConfig{
       .jobs = static_cast<std::size_t>(jobs_flag)}).jobs();
 
-  // One-time setup happens BEFORE any timed region: build the
-  // log-factorial table and spawn the process-shared pool.  The regression
-  // assertion pins the hoist — warm_math_tables() must leave the table
-  // queryably warm, or the first timed campaign would re-pay ~1M lgamma
-  // calls inside its wall (the bug behind the 0.91x "speedup" this JSON
-  // once recorded).
-  util::warm_math_tables();
+  // One-time setup happens BEFORE any timed region: grow the log-factorial
+  // table through the largest campaign population and spawn the
+  // process-shared pool.  The regression assertion pins the hoist — the
+  // table must already cover that population, or the first timed campaign
+  // would pay for growing it inside its wall (one-time setup inside the
+  // serial wall is the bug behind the 0.91x "speedup" this JSON once
+  // recorded).
+  const Count max_population =
+      *std::max_element(bot_counts.begin(), bot_counts.end()) +
+      *std::max_element(benign_counts.begin(), benign_counts.end());
+  util::warm_math_tables(max_population);
   (void)util::ThreadPool::shared();
-  if (!util::math_tables_warm()) {
+  if (!util::math_tables_warm(max_population)) {
     std::cerr << "BUG: warm_math_tables() did not warm the tables; timed "
                  "regions would include one-time setup\n";
     return EXIT_FAILURE;
@@ -259,4 +263,10 @@ int main(int argc, char** argv) {
                "clients under 100K bots; 10x bots < 3x shuffles; 95% costs "
                ">= ~40% more shuffles than 80%." << std::endl;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

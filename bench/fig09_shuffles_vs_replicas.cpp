@@ -6,6 +6,7 @@
 // replicas are added (900 -> 2000).
 #include <iostream>
 
+#include "bench_main.h"
 #include "shuffle_series.h"
 #include "util/flags.h"
 #include "util/table.h"
@@ -13,7 +14,9 @@
 using namespace shuffledef;
 using core::Count;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_bench(int argc, char** argv) {
   util::Flags flags("fig09_shuffles_vs_replicas",
                     "Figure 9: shuffles to save benign clients vs replicas");
   auto& reps = flags.add_int("reps", 30, "repetitions per data point");
@@ -24,6 +27,7 @@ int main(int argc, char** argv) {
   bench::MetricsExport metrics_export;
   metrics_export.add_flags(flags);
   flags.parse(argc, argv);
+  bench::require_reps(reps);
   const auto jobs = static_cast<std::size_t>(jobs_flag);
 
   const int r = full ? 30 : static_cast<int>(reps);
@@ -70,4 +74,10 @@ int main(int argc, char** argv) {
   std::cout << "Reproduction check: every column falls steadily as the "
                "replica budget grows." << std::endl;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

@@ -6,6 +6,7 @@
 // remaining population is increasingly bot-dominated.
 #include <iostream>
 
+#include "bench_main.h"
 #include "shuffle_series.h"
 #include "util/flags.h"
 #include "util/table.h"
@@ -13,7 +14,9 @@
 using namespace shuffledef;
 using core::Count;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_bench(int argc, char** argv) {
   util::Flags flags("fig10_cumulative_saves",
                     "Figure 10: cumulative saved percentage vs shuffles");
   auto& reps = flags.add_int("reps", 30, "repetitions per series");
@@ -22,6 +25,7 @@ int main(int argc, char** argv) {
   bench::MetricsExport metrics_export;
   metrics_export.add_flags(flags);
   flags.parse(argc, argv);
+  bench::require_reps(reps);
 
   const std::vector<double> percentages = {0.1, 0.2, 0.3, 0.4, 0.5,
                                            0.6, 0.7, 0.8, 0.9, 0.95};
@@ -64,4 +68,10 @@ int main(int argc, char** argv) {
                "grows towards the tail (early shuffles save more)."
             << std::endl;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

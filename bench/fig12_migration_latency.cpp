@@ -19,6 +19,7 @@
 // much more slowly.
 #include <iostream>
 
+#include "bench_main.h"
 #include "cloudsim/scenario.h"
 #include "shuffle_series.h"
 #include "util/flags.h"
@@ -119,9 +120,7 @@ MigrationResult run_once(int client_count, std::uint64_t seed,
   return result;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   util::Flags flags("fig12_migration_latency",
                     "Figure 12: client migration time between two replicas");
   auto& reps = flags.add_int("reps", 15, "repetitions per data point");
@@ -132,6 +131,7 @@ int main(int argc, char** argv) {
   bench::MetricsExport metrics_export;
   metrics_export.add_flags(flags);
   flags.parse(argc, argv);
+  bench::require_reps(reps);
 
   sim::SweepRunner runner(
       sim::SweepConfig{.jobs = static_cast<std::size_t>(jobs_flag)});
@@ -196,4 +196,10 @@ int main(int argc, char** argv) {
                "because redirection rides the priority lane and reloads go "
                "to the un-attacked replacement replica." << std::endl;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "bench_json.h"
+#include "bench_main.h"
 #include "core/algorithm_one.h"
 #include "core/greedy_planner.h"
 #include "core/mle_estimator.h"
@@ -334,9 +335,7 @@ int run_bench_json(const std::string& path, double max_warm_ms) {
   return warm_ok ? 0 : 2;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   // `--bench-json <path>` bypasses google-benchmark and runs the
   // re-planning + symmetry-cut perf trajectory instead (see
   // EXPERIMENTS.md).  `--max-warm-ms <ms>` makes the paper-scale warm
@@ -357,4 +356,10 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run_bench);
 }

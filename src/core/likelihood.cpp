@@ -17,16 +17,26 @@ struct Group {
   Count count = 0;  // how many replicas have this size
 };
 
-// Distinct replica sizes in ascending order, with multiplicities: one
-// run-length pass over the sorted sizes.
+// Distinct replica sizes in ascending order, with multiplicities.
+// Planners emit sizes in runs, so this collapses the runs in plan order,
+// sorts only the runs, and merges runs of equal size.
 std::vector<Group> group_sizes(const AssignmentPlan& plan) {
-  std::vector<Count> sizes = plan.counts();
-  std::sort(sizes.begin(), sizes.end());
   std::vector<Group> groups;
-  for (const Count x : sizes) {
+  for (const Count x : plan.counts()) {
     if (groups.empty() || groups.back().size != x) groups.push_back({x, 0});
     ++groups.back().count;
   }
+  std::sort(groups.begin(), groups.end(),
+            [](const Group& a, const Group& b) { return a.size < b.size; });
+  std::size_t distinct = 0;
+  for (const Group& run : groups) {
+    if (distinct > 0 && groups[distinct - 1].size == run.size) {
+      groups[distinct - 1].count += run.count;
+    } else {
+      groups[distinct++] = run;
+    }
+  }
+  groups.resize(distinct);
   return groups;
 }
 

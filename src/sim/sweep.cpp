@@ -48,11 +48,13 @@ SweepRunner::DispatchStats SweepRunner::dispatch(
     std::size_t cell_count, const std::vector<std::size_t>& order,
     const std::function<void(std::size_t)>& cell) const {
   DispatchStats stats;
-  // One-time setup stays OUT of the timed window: build the log-factorial
-  // table (cells hammer the hypergeometric pmf from many threads at once)
-  // and touch the process-shared pool so its threads exist before the
-  // fan-out.  Both used to be charged to the first sweep's parallel wall,
-  // which is exactly what BENCH_sweep.json's 0.91x "speedup" was measuring.
+  // One-time setup stays OUT of the timed window: warm the first chunk of
+  // the log-factorial table and touch the process-shared pool so its
+  // threads exist before the fan-out.  Cells grow the table further at
+  // first use, bounded by the largest population they read; a caller that
+  // knows that population can pre-grow it with warm_math_tables(n).  Setup
+  // inside the first sweep's parallel wall is exactly what
+  // BENCH_sweep.json's 0.91x "speedup" was measuring.
   const auto setup_start = std::chrono::steady_clock::now();
   util::warm_math_tables();
   util::ThreadPool* pool = nullptr;

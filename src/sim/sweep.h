@@ -27,9 +27,10 @@
 //   * wall_seconds / cells_per_second / per-cell walls / cells_stolen are
 //     wall-clock or scheduling-dependent and excluded.
 //
-// One-time setup (log-factorial warm-up, shared-pool construction) happens
-// before the timed dispatch window and is reported separately as
-// setup_seconds, so wall_seconds measures the fan-out alone.
+// One-time setup (the log-factorial table's first chunk, shared-pool
+// construction) happens before the timed dispatch window and is reported
+// separately as setup_seconds, so wall_seconds measures the fan-out alone.
+// Cells grow the table past that chunk at first use.
 //
 // Failure isolation: a throwing cell records its error message in its slot
 // instead of killing the sweep; SweepResult::value(i) rethrows on access.

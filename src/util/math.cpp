@@ -1,34 +1,41 @@
 #include "util/math.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
 namespace shuffledef::util {
-namespace {
 
-constexpr std::int64_t kLogFactCacheSize = 1 << 20;  // exact up to ~1M
-
-// Process-wide cache (magic static): built once — possibly under the
-// static-init mutex on first use — then read lock-free forever after.
-const double* log_fact_table() {
-  static const std::vector<double> table = [] {
-    std::vector<double> t(kLogFactCacheSize);
-    t[0] = 0.0;
-    for (std::int64_t i = 1; i < kLogFactCacheSize; ++i) {
-      t[i] = t[i - 1] + std::log(static_cast<double>(i));
-    }
-    return t;
-  }();
-  return table.data();
+const double* LogFactorialTable::grow(std::int64_t n) {
+  const std::lock_guard lock(grow_mutex_);
+  std::int64_t filled = filled_.load(std::memory_order_relaxed);
+  if (n < filled) return entries_.get();
+  if (!entries_) {
+    entries_ = std::make_unique_for_overwrite<double[]>(kCapacity);
+    entries_[0] = 0.0;
+    filled = 1;
+  }
+  const std::int64_t target = (n / kChunk + 1) * kChunk;
+  double* t = entries_.get();
+  for (std::int64_t i = filled; i < target; ++i) {
+    t[i] = t[i - 1] + std::log(static_cast<double>(i));
+  }
+  filled_.store(target, std::memory_order_release);
+  return t;
 }
 
-// Table-pointer-in-hand variants: the binomial/pmf hot paths fetch the
-// magic static once per call instead of once per factorial (each fetch is
-// a guarded acquire load).
+namespace {
+
+constexpr std::int64_t kTableSize = LogFactorialTable::kCapacity;
+
+// The process-wide table.  Constant-initialised, so reaching it needs no
+// guard, and destroyed after every dynamically initialised static.
+constinit LogFactorialTable process_table;
+
+// Table-in-hand variants: each public entry point covers its largest
+// argument once, then reads every factorial it needs without re-checking.
 inline double log_factorial_from(const double* table, std::int64_t n) {
-  if (n < kLogFactCacheSize) return table[n];
+  if (n < kTableSize) return table[n];
   return std::lgamma(static_cast<double>(n) + 1.0);
 }
 
@@ -48,26 +55,25 @@ inline double log_hypergeometric_pmf_from(const double* table,
          log_binomial_from(table, total, draws);
 }
 
-std::atomic<bool> math_tables_warm_flag{false};
-
 }  // namespace
 
-void warm_math_tables() {
-  (void)log_fact_table();
-  math_tables_warm_flag.store(true, std::memory_order_release);
+void warm_math_tables(std::int64_t population) {
+  (void)process_table.cover(std::max<std::int64_t>(population, 0));
 }
 
-bool math_tables_warm() noexcept {
-  return math_tables_warm_flag.load(std::memory_order_acquire);
+bool math_tables_warm(std::int64_t population) noexcept {
+  return process_table.filled() >
+         std::clamp<std::int64_t>(population, 0, kTableSize - 1);
 }
 
 double log_factorial(std::int64_t n) {
   if (n < 0) throw std::invalid_argument("log_factorial: negative argument");
-  return log_factorial_from(log_fact_table(), n);
+  return log_factorial_from(process_table.cover(n), n);
 }
 
 double log_binomial(std::int64_t n, std::int64_t k) {
-  return log_binomial_from(log_fact_table(), n, k);
+  if (k < 0 || k > n || n < 0) return kNegInf;
+  return log_binomial_from(process_table.cover(n), n, k);
 }
 
 double binomial(std::int64_t n, std::int64_t k) {
@@ -83,7 +89,7 @@ double prob_no_bots(std::int64_t n, std::int64_t m, std::int64_t x) {
   if (m == 0) return 1.0;
   if (x == 0) return 1.0;
   if (x > n - m) return 0.0;  // not enough non-bot clients to fill the replica
-  const double* table = log_fact_table();
+  const double* table = process_table.cover(n);
   return std::exp(log_binomial_from(table, n - x, m) -
                   log_binomial_from(table, n, m));
 }
@@ -97,8 +103,8 @@ double log_hypergeometric_pmf(std::int64_t total, std::int64_t successes,
   if (k < 0 || k > draws || k > successes || draws - k > total - successes) {
     return kNegInf;
   }
-  return log_hypergeometric_pmf_from(log_fact_table(), total, successes,
-                                     draws, k);
+  return log_hypergeometric_pmf_from(process_table.cover(total), total,
+                                     successes, draws, k);
 }
 
 double hypergeometric_pmf(std::int64_t total, std::int64_t successes,
@@ -113,8 +119,8 @@ double hypergeometric_pmf_in_support(std::int64_t total,
                                      std::int64_t draws, std::int64_t k) {
   // Inside the support the log pmf is finite, so hypergeometric_pmf's
   // -infinity test cannot fire either.
-  return std::exp(log_hypergeometric_pmf_from(log_fact_table(), total,
-                                              successes, draws, k));
+  return std::exp(log_hypergeometric_pmf_from(process_table.cover(total),
+                                              total, successes, draws, k));
 }
 
 double hypergeometric_mean(std::int64_t total, std::int64_t successes,

@@ -7,27 +7,81 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
 namespace shuffledef::util {
 
-/// Eagerly build the process-wide log-factorial table that backs
-/// log_factorial / log_binomial / hypergeometric_pmf (otherwise it is built
-/// lazily on first use).  Call once before fanning work across threads so
-/// concurrent first users don't serialize on the one-time ~1M-entry
-/// initialization.  Thread-safe and idempotent.
-void warm_math_tables();
+/// Table of log(i!) for 0 <= i < kCapacity, filled on demand.
+///
+/// The array is allocated on first growth and never value-initialised, so
+/// the pages past the filled prefix stay out of RSS.  cover(n) makes
+/// entries [0, n] readable.  Below the filled length that is one acquire
+/// load and a compare, with no lock.  Past it, one thread at a time extends
+/// the prefix under a mutex, in whole chunks, and publishes the new length
+/// with a release store.  Growth computes entry i as t[i-1] + log(i) in
+/// index order, the recurrence an eager build of the whole table runs, so
+/// every entry is the same double whatever order the table grew in.
+///
+/// The library's log_factorial, log_binomial, prob_no_bots and
+/// hypergeometric pmfs read one process-wide instance; tests build their
+/// own to watch a table grow from empty.
+class LogFactorialTable {
+ public:
+  static constexpr std::int64_t kCapacity = std::int64_t{1} << 20;
+  /// Growth granularity: 4096 entries, 32 KiB.
+  static constexpr std::int64_t kChunk = 4096;
 
-/// True once warm_math_tables() has completed — lets benches assert that
-/// one-time table initialization happened before, not inside, a timed
-/// region (lazy first-use builds do NOT set this).
-bool math_tables_warm() noexcept;
+  constexpr LogFactorialTable() = default;
+  LogFactorialTable(const LogFactorialTable&) = delete;
+  LogFactorialTable& operator=(const LogFactorialTable&) = delete;
 
-/// Natural log of n! (n >= 0).  Values up to an internal cache size are
-/// exact table lookups; larger arguments fall back to lgamma.
+  /// Fills entries [0, min(n, kCapacity - 1)] (n >= 0) and returns the
+  /// array.  A request at or past kCapacity fills the whole table.
+  const double* cover(std::int64_t n) {
+    n = std::min(n, kCapacity - 1);
+    if (n < filled_.load(std::memory_order_acquire)) return entries_.get();
+    return grow(n);
+  }
+
+  /// Number of filled entries: a prefix, so entries [0, filled()) are
+  /// readable.
+  [[nodiscard]] std::int64_t filled() const noexcept {
+    return filled_.load(std::memory_order_acquire);
+  }
+
+ private:
+  // Fills through the chunk holding entry n (0 <= n < kCapacity).
+  const double* grow(std::int64_t n);
+
+  // Held while growing: entries_ is allocated, and entries at or past
+  // filled_ are written, only under it.
+  std::mutex grow_mutex_;
+  std::unique_ptr<double[]> entries_;
+  std::atomic<std::int64_t> filled_{0};
+};
+
+/// Pre-grow the process-wide log-factorial table through `population`, so
+/// log_factorial / log_binomial / hypergeometric_pmf of arguments up to it
+/// never grow the table (growth is otherwise paid at first use, bounded by
+/// the largest argument a call reads).  The default builds the first chunk.
+/// Call before a timed region, or before fanning work across threads, to
+/// keep growth out of it.  Thread-safe and idempotent.
+void warm_math_tables(std::int64_t population = LogFactorialTable::kChunk - 1);
+
+/// True when the process-wide table already covers `population`, i.e. no
+/// call with arguments up to it will grow the table.  Lets benches assert
+/// that warm_math_tables() ran before, not inside, a timed region.
+bool math_tables_warm(
+    std::int64_t population = LogFactorialTable::kChunk - 1) noexcept;
+
+/// Natural log of n! (n >= 0).  Below LogFactorialTable::kCapacity this is
+/// a table lookup; larger arguments fall back to lgamma.
 double log_factorial(std::int64_t n);
 
 /// Natural log of the binomial coefficient C(n, k).

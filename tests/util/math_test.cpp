@@ -1,10 +1,134 @@
 #include "util/math.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <gtest/gtest.h>
+#include <random>
+
+#include "eager_log_factorial.h"
 
 namespace shuffledef::util {
 namespace {
+
+constexpr std::int64_t kCapacity = LogFactorialTable::kCapacity;
+constexpr std::int64_t kChunk = LogFactorialTable::kChunk;
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Fills what is left of `table`, then compares every entry with the eager
+// recurrence, bit for bit.
+void expect_matches_eager(LogFactorialTable& table) {
+  const double* t = table.cover(kCapacity - 1);
+  ASSERT_EQ(table.filled(), kCapacity);
+  EXPECT_EQ(std::memcmp(t, eager_log_factorials().data(),
+                        static_cast<std::size_t>(kCapacity) * sizeof(double)),
+            0);
+}
+
+TEST(LogFactorialTable, GrowsInWholeChunksThroughTheRequest) {
+  LogFactorialTable table;
+  EXPECT_EQ(table.filled(), 0);
+  (void)table.cover(0);
+  EXPECT_EQ(table.filled(), kChunk);
+  (void)table.cover(kChunk - 1);  // already covered
+  EXPECT_EQ(table.filled(), kChunk);
+  (void)table.cover(kChunk);
+  EXPECT_EQ(table.filled(), 2 * kChunk);
+  (void)table.cover(5 * kChunk + 7);
+  EXPECT_EQ(table.filled(), 6 * kChunk);
+  (void)table.cover(kCapacity + 12345);  // past the end: the whole table
+  EXPECT_EQ(table.filled(), kCapacity);
+}
+
+TEST(LogFactorialTable, AscendingGrowthMatchesEagerBuild) {
+  LogFactorialTable table;
+  for (std::int64_t n = 0; n < kCapacity; n += 3001) (void)table.cover(n);
+  expect_matches_eager(table);
+}
+
+TEST(LogFactorialTable, DescendingGrowthMatchesEagerBuild) {
+  // Each pass grows from where the last one stopped, then reads its way
+  // down through entries that earlier passes built.
+  const auto& eager = eager_log_factorials();
+  LogFactorialTable table;
+  for (const std::int64_t top :
+       {kCapacity / 8 + 5, kCapacity / 4 - 3, kCapacity / 2 + 1}) {
+    for (std::int64_t n = top; n >= 0; n -= 997) {
+      ASSERT_EQ(bits(table.cover(n)[n]),
+                bits(eager[static_cast<std::size_t>(n)]))
+          << "n=" << n;
+    }
+  }
+  expect_matches_eager(table);
+}
+
+TEST(LogFactorialTable, RandomGrowthMatchesEagerBuild) {
+  const auto& eager = eager_log_factorials();
+  LogFactorialTable table;
+  std::mt19937_64 gen(20140623);
+  std::uniform_int_distribution<std::int64_t> pick(0, kCapacity - 1);
+  for (int i = 0; i < 2000; ++i) {
+    const std::int64_t n = pick(gen);
+    const double* t = table.cover(n);
+    ASSERT_EQ(table.filled() % kChunk, 0);
+    ASSERT_EQ(bits(t[n]), bits(eager[static_cast<std::size_t>(n)]))
+        << "n=" << n;
+  }
+  expect_matches_eager(table);
+}
+
+TEST(LogFactorialTable, SingleJumpToTheLastEntryMatchesEagerBuild) {
+  LogFactorialTable table;
+  (void)table.cover(kCapacity - 1);
+  EXPECT_EQ(table.filled(), kCapacity);
+  expect_matches_eager(table);
+}
+
+TEST(LogFactorialTable, WarmingCoversTheRequestedPopulation) {
+  warm_math_tables();
+  EXPECT_TRUE(math_tables_warm());
+  warm_math_tables(200'000);
+  EXPECT_TRUE(math_tables_warm(200'000));
+  EXPECT_TRUE(math_tables_warm(199'999));
+}
+
+// log(n!) and log C(n, k) past the table's end (lgamma for n, the table for
+// k < 2^20 and for n - k where it is below 2^20), recorded with glibc's
+// log and lgamma on x86-64.
+TEST(LogFactorial, PastTheTableMatchesRecordedValues) {
+  struct Case {
+    std::int64_t n;
+    double expected;
+  };
+  for (const Case c : {Case{kCapacity - 1, 0x1.9b9d2fe521be4p+23},
+                       Case{kCapacity, 0x1.9b9d4b9ef5854p+23},
+                       Case{kCapacity + 1, 0x1.9b9d6758c963fp+23},
+                       Case{2'000'000, 0x1.9c406ba67b1a1p+24},
+                       Case{5'000'000, 0x1.132253bef01a1p+26},
+                       Case{1'000'000'000, 0x1.25e649ce0e86ep+34}}) {
+    EXPECT_EQ(bits(log_factorial(c.n)), bits(c.expected)) << "n=" << c.n;
+  }
+}
+
+TEST(LogBinomial, PastTheTableMatchesRecordedValues) {
+  struct Case {
+    std::int64_t n, k;
+    double expected;
+  };
+  for (const Case c : {Case{kCapacity, 0, 0x0p+0},
+                       Case{kCapacity, 1, 0x1.bb9d3c7p+3},
+                       Case{kCapacity + 5, 100, 0x1.ff467eb55p+9},
+                       Case{kCapacity, kCapacity - 1, 0x1.bb9d3c7p+3},
+                       Case{2'000'000, 1'000'000, 0x1.5272ee18938ep+20},
+                       Case{2'000'000, 999'999, 0x1.5272ee1892818p+20},
+                       Case{3'000'000, 7, 0x1.7f7ea9008p+6},
+                       Case{3'000'000, kCapacity - 1, 0x1.d9fc8a9b3d24p+20}}) {
+    EXPECT_EQ(bits(log_binomial(c.n, c.k)), bits(c.expected))
+        << "n=" << c.n << " k=" << c.k;
+  }
+}
 
 TEST(LogFactorial, SmallValuesExact) {
   EXPECT_DOUBLE_EQ(log_factorial(0), 0.0);
