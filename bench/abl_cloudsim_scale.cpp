@@ -137,6 +137,7 @@ int run_bench(int argc, char** argv) {
   flags.parse(argc, argv);
   bench::require_reps(reps);
   bench::require_horizon(horizon);
+  bench::require_at_least_one("max-scale", max_scale);
 
   std::vector<std::int64_t> scales;
   for (const std::int64_t n : {10'000, 100'000, 1'000'000}) {

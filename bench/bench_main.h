@@ -1,9 +1,9 @@
 // Shared entry point of the bench binaries.  Every bench's main runs its
 // body through guarded_main, so a bad configuration ends the way a bad flag
 // does (util::Flags): a one-line message on stderr and exit code 2, not
-// std::terminate.  require_reps / require_horizon reject the two numeric
-// flags whose bad values would otherwise crash a run or silently simulate
-// nothing; benches call them right after parsing.
+// std::terminate.  require_reps / require_horizon / require_at_least_one
+// reject numeric flags whose bad values would otherwise crash a run or
+// silently simulate something else; benches call them right after parsing.
 #pragma once
 
 #include <cmath>
@@ -30,12 +30,19 @@ inline int guarded_main(int argc, char** argv, int (*body)(int, char**)) {
   }
 }
 
+/// Throws std::invalid_argument unless the integer flag --`name` is at
+/// least 1.
+inline void require_at_least_one(std::string_view name, std::int64_t value) {
+  if (value < 1) {
+    throw std::invalid_argument("--" + std::string(name) +
+                                " must be >= 1 (got " + std::to_string(value) +
+                                ")");
+  }
+}
+
 /// Throws std::invalid_argument unless --reps is at least 1.
 inline void require_reps(std::int64_t reps) {
-  if (reps < 1) {
-    throw std::invalid_argument("--reps must be >= 1 (got " +
-                                std::to_string(reps) + ")");
-  }
+  require_at_least_one("reps", reps);
 }
 
 /// Throws std::invalid_argument unless --horizon is finite and positive.

@@ -1,7 +1,7 @@
 # Bad configuration values must end a bench with a message and exit code 2,
 # not std::terminate or a silently empty run.  Run by ctest as
 #   cmake -DFIG08=<fig08 binary> -DCLOUDSIM=<abl_cloudsim_scale binary>
-#         -P expect_bad_config.cmake
+#         -DCLIENTSIM=<abl_client_scale binary> -P expect_bad_config.cmake
 
 function(expect_exit_2 expected_stderr)
   execute_process(COMMAND ${ARGN} RESULT_VARIABLE code OUTPUT_QUIET
@@ -20,3 +20,7 @@ expect_exit_2("fig08_shuffles_vs_bots: --reps must be >= 1 (got -1)"
               ${FIG08} --reps -1)
 expect_exit_2("abl_cloudsim_scale: --horizon must be a finite number"
               ${CLOUDSIM} --horizon nan)
+expect_exit_2("abl_cloudsim_scale: --max-scale must be >= 1 (got -5)"
+              ${CLOUDSIM} --max-scale -5)
+expect_exit_2("abl_client_scale: --max-scale must be >= 1 (got -5)"
+              ${CLIENTSIM} --max-scale -5)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -20,8 +21,16 @@ void EventLoop::validate_time(SimTime t) const {
 
 void EventLoop::schedule_at(SimTime t, std::function<void()> fn) {
   validate_time(t);
-  queue_.push_back(Event{t, seq_++, std::move(fn)});
-  std::push_heap(queue_.begin(), queue_.end(), Later{});
+  std::uint32_t slot = 0;
+  if (free_closures_.empty()) {
+    slot = static_cast<std::uint32_t>(closures_.size());
+    closures_.push_back(std::move(fn));
+  } else {
+    slot = free_closures_.back();
+    free_closures_.pop_back();
+    closures_[slot] = std::move(fn);
+  }
+  push(Event{t, seq_++, slot, 0, kClosureKind});
 }
 
 void EventLoop::schedule_after(SimTime delay, std::function<void()> fn) {
@@ -38,6 +47,11 @@ std::uint16_t EventLoop::register_pod_handler(PodHandler handler, void* ctx) {
   if (handler == nullptr) {
     throw std::invalid_argument("EventLoop: null POD handler");
   }
+  if (pod_kinds_.size() >= kClosureKind) {
+    throw std::length_error(
+        "EventLoop: POD kinds exhausted (the last kind is reserved for "
+        "closures)");
+  }
   pod_kinds_.push_back(PodKind{handler, ctx});
   return static_cast<std::uint16_t>(pod_kinds_.size() - 1);
 }
@@ -48,33 +62,26 @@ void EventLoop::schedule_pod_at(SimTime t, std::uint16_t kind, std::uint32_t a,
   if (kind >= pod_kinds_.size()) {
     throw std::invalid_argument("EventLoop: unregistered POD kind");
   }
-  push_pod(PodEvent{t, seq_++, a, b, kind});
+  push(Event{t, seq_++, a, b, kind});
 }
 
-void EventLoop::push_pod(const PodEvent& ev) {
+void EventLoop::push(const Event& ev) {
   // 4-ary sift-up: parent of i is (i - 1) / 4.
-  std::size_t i = pod_queue_.size();
-  pod_queue_.push_back(ev);
+  std::size_t i = heap_.size();
+  heap_.push_back(ev);
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
-    if (!pod_before(pod_queue_[i], pod_queue_[parent])) break;
-    std::swap(pod_queue_[i], pod_queue_[parent]);
+    if (!before(heap_[i], heap_[parent])) break;
+    std::swap(heap_[i], heap_[parent]);
     i = parent;
   }
 }
 
-EventLoop::Event EventLoop::pop_front() {
-  std::pop_heap(queue_.begin(), queue_.end(), Later{});
-  Event ev = std::move(queue_.back());
-  queue_.pop_back();
-  return ev;
-}
-
-EventLoop::PodEvent EventLoop::pop_pod() {
-  const PodEvent top = pod_queue_.front();
-  const PodEvent last = pod_queue_.back();
-  pod_queue_.pop_back();
-  const std::size_t n = pod_queue_.size();
+EventLoop::Event EventLoop::pop() {
+  const Event top = heap_.front();
+  const Event last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
   if (n == 0) return top;
   // 4-ary sift-down of `last` from the root: children of i start at 4i + 1.
   std::size_t i = 0;
@@ -84,69 +91,45 @@ EventLoop::PodEvent EventLoop::pop_pod() {
     const std::size_t last_child = std::min(first_child + 4, n);
     std::size_t best = first_child;
     for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (pod_before(pod_queue_[c], pod_queue_[best])) best = c;
+      if (before(heap_[c], heap_[best])) best = c;
     }
-    if (!pod_before(pod_queue_[best], last)) break;
-    pod_queue_[i] = pod_queue_[best];
+    if (!before(heap_[best], last)) break;
+    heap_[i] = heap_[best];
     i = best;
   }
-  pod_queue_[i] = last;
+  heap_[i] = last;
   return top;
 }
 
-bool EventLoop::run_until(SimTime t_end) {
-  while (true) {
-    const bool has_fn = !queue_.empty() && queue_.front().time <= t_end;
-    const bool has_pod = !pod_queue_.empty() && pod_queue_.front().time <= t_end;
-    if (!has_fn && !has_pod) break;
+bool EventLoop::drain(SimTime t_end) {
+  while (!heap_.empty() && heap_.front().time <= t_end) {
     if (processed_ >= budget_) return false;
     ++processed_;
     dispatched_.inc();
-    // Merge-pop: the earlier (time, seq) of the two heap fronts fires, so
-    // interleaving matches a single combined queue exactly.
-    const bool take_pod =
-        has_pod &&
-        (!has_fn || pod_queue_.front().time < queue_.front().time ||
-         (pod_queue_.front().time == queue_.front().time &&
-          pod_queue_.front().seq < queue_.front().seq));
-    if (take_pod) {
-      const PodEvent ev = pop_pod();
-      now_ = ev.time;
+    const Event ev = pop();
+    now_ = ev.time;
+    if (ev.kind == kClosureKind) {
+      // Move out and free the slot first: the closure may schedule more
+      // closures, which can reuse the slot or grow the arena under it.
+      std::function<void()> fn = std::move(closures_[ev.a]);
+      free_closures_.push_back(ev.a);
+      fn();
+    } else {
       const PodKind& k = pod_kinds_[ev.kind];
       k.handler(k.ctx, ev.a, ev.b);
-    } else {
-      Event ev = pop_front();
-      now_ = ev.time;
-      ev.fn();
     }
   }
+  return true;
+}
+
+bool EventLoop::run_until(SimTime t_end) {
+  if (!drain(t_end)) return false;
   if (now_ < t_end) now_ = t_end;
   return true;
 }
 
 bool EventLoop::run() {
-  while (!empty()) {
-    if (processed_ >= budget_) return false;
-    ++processed_;
-    dispatched_.inc();
-    const bool has_fn = !queue_.empty();
-    const bool take_pod =
-        !pod_queue_.empty() &&
-        (!has_fn || pod_queue_.front().time < queue_.front().time ||
-         (pod_queue_.front().time == queue_.front().time &&
-          pod_queue_.front().seq < queue_.front().seq));
-    if (take_pod) {
-      const PodEvent ev = pop_pod();
-      now_ = ev.time;
-      const PodKind& k = pod_kinds_[ev.kind];
-      k.handler(k.ctx, ev.a, ev.b);
-    } else {
-      Event ev = pop_front();
-      now_ = ev.time;
-      ev.fn();
-    }
-  }
-  return true;
+  return drain(std::numeric_limits<SimTime>::infinity());
 }
 
 }  // namespace shuffledef::cloudsim

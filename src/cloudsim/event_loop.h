@@ -5,14 +5,14 @@
 // increasing sequence number breaks ties), which keeps every simulation
 // deterministic for a given seed.
 //
-// The heap is an explicit vector (std::push_heap / std::pop_heap with the
-// same comparator std::priority_queue would use) so large scenarios can
-// reserve() capacity up front and pop without the const_cast idiom.
-//
-// Two event flavours share one global (time, sequence) order: general
-// std::function closures, and POD fast-path events — a registered handler
-// index plus two 32-bit words — for subsystems that schedule millions of
-// events and cannot afford a 48-byte type-erased node per pop.
+// One heap carries every event: a 4-ary min-heap of 32-byte nodes
+// (time, seq, a, b, kind), kept in an explicit vector so large scenarios
+// can reserve() capacity up front.  A POD event's kind indexes a
+// registered handler, called with the two 32-bit words — the fast path for
+// subsystems that schedule millions of events.  A std::function closure
+// moves into a free-listed slot arena and rides the heap as the reserved
+// kind kClosureKind, with `a` naming its slot; it is moved out of the
+// arena before it runs, so it may schedule (and grow the arena) freely.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +34,9 @@ class EventLoop {
   /// Handler for POD fast-path events (see register_pod_handler).
   using PodHandler = void (*)(void* ctx, std::uint32_t a, std::uint32_t b);
 
+  /// The heap kind closure events ride under; never a POD kind.
+  static constexpr std::uint16_t kClosureKind = 0xFFFF;
+
   /// Schedule `fn` at absolute simulated time `t` (finite, >= now).
   void schedule_at(SimTime t, std::function<void()> fn);
 
@@ -45,25 +48,20 @@ class EventLoop {
   /// delivery walkers) register once and then schedule millions of events
   /// that cost a 32-byte heap node each — no std::function, no allocation,
   /// no destructor on pop.  The registrant must outlive the loop's run.
+  /// Throws once every kind below kClosureKind is taken.
   std::uint16_t register_pod_handler(PodHandler handler, void* ctx);
 
   /// Schedule a POD event at absolute time `t` (finite, >= now).  POD and
-  /// std::function events pop in one global (time, schedule-order) sequence,
-  /// so determinism is exactly as if both lived in a single queue.
+  /// closure events share the one (time, schedule-order) sequence.
   void schedule_pod_at(SimTime t, std::uint16_t kind, std::uint32_t a,
                        std::uint32_t b);
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
-  [[nodiscard]] bool empty() const noexcept {
-    return queue_.empty() && pod_queue_.empty();
-  }
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
   [[nodiscard]] std::uint64_t processed() const noexcept { return processed_; }
 
-  /// Pre-size the event heaps (large scenarios avoid growth reallocations).
-  void reserve(std::size_t events) {
-    queue_.reserve(events);
-    pod_queue_.reserve(events);
-  }
+  /// Pre-size the event heap (large scenarios avoid growth reallocations).
+  void reserve(std::size_t events) { heap_.reserve(events); }
 
   /// Run events with time <= t_end; afterwards now() == t_end (or the time
   /// of the event that hit the event budget).  Returns false if the event
@@ -87,24 +85,13 @@ class EventLoop {
  private:
   struct Event {
     SimTime time;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  struct PodEvent {
-    SimTime time;
-    std::uint64_t seq;  // shared counter with Event: one global tie order
+    std::uint64_t seq;  // schedule order: breaks equal-time ties
     std::uint32_t a;
     std::uint32_t b;
     std::uint16_t kind;
   };
   /// "a fires before b" — strict (time, seq) order.
-  static bool pod_before(const PodEvent& a, const PodEvent& b) noexcept {
+  static bool before(const Event& a, const Event& b) noexcept {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
@@ -113,16 +100,17 @@ class EventLoop {
     void* ctx = nullptr;
   };
 
-  /// Pop the earliest event off the heap (caller checked non-empty).
-  Event pop_front();
-  PodEvent pop_pod();
-  void push_pod(const PodEvent& ev);
+  void push(const Event& ev);
+  Event pop();
+  /// Fire events with time <= t_end; false on event-budget exhaustion.
+  bool drain(SimTime t_end);
   void validate_time(SimTime t) const;
 
-  std::vector<Event> queue_;  // binary heap ordered by Later
-  // 4-ary min-heap by (time, seq): POD events pop at half the sift depth
-  // of a binary heap, and a 32-byte element moves in one cache-line step.
-  std::vector<PodEvent> pod_queue_;
+  // 4-ary min-heap by (time, seq): half the sift depth of a binary heap,
+  // and a 32-byte node moves in one cache-line step.
+  std::vector<Event> heap_;
+  std::vector<std::function<void()>> closures_;  // slot arena
+  std::vector<std::uint32_t> free_closures_;
   std::vector<PodKind> pod_kinds_;
   SimTime now_ = 0.0;
   std::uint64_t seq_ = 0;

@@ -1,6 +1,7 @@
 #include "cloudsim/network.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "cloudsim/fault.h"
@@ -8,8 +9,55 @@
 
 namespace shuffledef::cloudsim {
 
+namespace {
+
+void throw_if_invalid(const char* what,
+                      const std::vector<std::string>& violations) {
+  if (violations.empty()) return;
+  std::string message = std::string(what) + ": " +
+                        std::to_string(violations.size()) + " violation(s)";
+  for (const auto& v : violations) message += "; " + v;
+  throw std::invalid_argument(message);
+}
+
+}  // namespace
+
+std::vector<std::string> NicConfig::violations(
+    const std::string& prefix) const {
+  std::vector<std::string> out;
+  if (!std::isfinite(egress_bps) || egress_bps <= 0.0) {
+    out.push_back(prefix + "egress_bps must be finite and > 0");
+  }
+  if (!std::isfinite(ingress_bps) || ingress_bps <= 0.0) {
+    out.push_back(prefix + "ingress_bps must be finite and > 0");
+  }
+  if (!std::isfinite(base_latency_s) || base_latency_s < 0.0) {
+    out.push_back(prefix + "base_latency_s must be finite and >= 0");
+  }
+  if (!(max_queue_s > 0.0)) {
+    out.push_back(prefix + "max_queue_s must be > 0");
+  }
+  if (!(control_share > 0.0 && control_share < 1.0)) {
+    out.push_back(prefix + "control_share must be in (0, 1)");
+  }
+  return out;
+}
+
+std::vector<std::string> NetworkConfig::violations(
+    const std::string& prefix) const {
+  std::vector<std::string> out;
+  if (!std::isfinite(intra_domain_extra_s) || intra_domain_extra_s < 0.0) {
+    out.push_back(prefix + "intra_domain_extra_s must be finite and >= 0");
+  }
+  if (!std::isfinite(inter_domain_extra_s) || inter_domain_extra_s < 0.0) {
+    out.push_back(prefix + "inter_domain_extra_s must be finite and >= 0");
+  }
+  return out;
+}
+
 Network::Network(EventLoop& loop, NetworkConfig config)
     : loop_(loop), config_(config) {
+  throw_if_invalid("NetworkConfig", config_.violations());
   pod_walk_kind_ = loop_.register_pod_handler(
       [](void* ctx, std::uint32_t lane, std::uint32_t gen) {
         static_cast<Network*>(ctx)->walk_lane(lane, gen);
@@ -35,11 +83,7 @@ void Network::set_registry(obs::Registry* registry) {
 
 NodeId Network::attach(Node* node, NicConfig nic) {
   if (node == nullptr) throw std::invalid_argument("Network: null node");
-  if (nic.egress_bps <= 0 || nic.ingress_bps <= 0 || nic.base_latency_s < 0 ||
-      nic.max_queue_s <= 0 || nic.control_share <= 0 ||
-      nic.control_share >= 1) {
-    throw std::invalid_argument("Network: invalid NicConfig");
-  }
+  throw_if_invalid("NicConfig", nic.violations());
   Port port;
   port.node = node;
   port.nic = nic;
@@ -128,17 +172,9 @@ bool Network::admit(Message& msg) {
         metrics_.duplicated.inc();
         metrics_.in_flight.add(1);
         resolve(msg, NetTraceEvent::Outcome::kDuplicated);
-        Message copy = msg;
-        const double delay = fault_->config().dup_extra_delay_s;
-        if (pooled_) {
-          const std::uint32_t slot = acquire(std::move(copy));
-          loop_.schedule_after(delay, [this, slot] { dispatch_pooled(slot); });
-        } else {
-          loop_.schedule_after(delay,
-                               [this, copy = std::move(copy)]() mutable {
-                                 transmit(std::move(copy));
-                               });
-        }
+        const std::uint32_t slot = acquire(Message(msg));
+        loop_.schedule_after(fault_->config().dup_extra_delay_s,
+                             [this, slot] { dispatch(slot); });
         break;
       }
       case FaultAction::kDeliver:
@@ -152,12 +188,7 @@ bool Network::admit(Message& msg) {
 }
 
 void Network::send(Message msg) {
-  if (!admit(msg)) return;
-  if (pooled_) {
-    dispatch_pooled(acquire(std::move(msg)));
-  } else {
-    transmit(std::move(msg));
-  }
+  if (admit(msg)) dispatch(acquire(std::move(msg)));
 }
 
 void Network::send_batch(NodeId src, MessageType type, std::int64_t size_bytes,
@@ -170,7 +201,7 @@ void Network::send_batch(NodeId src, MessageType type, std::int64_t size_bytes,
   }
 }
 
-// ---- pooled engine ---------------------------------------------------------
+// ---- slot arena ------------------------------------------------------------
 
 std::uint32_t Network::acquire(Message&& msg) {
   if (free_slots_.empty()) {
@@ -221,11 +252,7 @@ double Network::egress_admit(Message& msg) {
   return departs + propagation_s(src, dst);
 }
 
-void Network::dispatch_pooled(std::uint32_t slot) {
-  if (!batch_enabled_) {
-    transmit_pooled(slot);
-    return;
-  }
+void Network::dispatch(std::uint32_t slot) {
   const double arrives = egress_admit(slots_[static_cast<std::size_t>(slot)]);
   if (arrives < 0) {
     release(slot);
@@ -234,29 +261,20 @@ void Network::dispatch_pooled(std::uint32_t slot) {
   ingress_enqueue(slot, arrives);
 }
 
-void Network::transmit_pooled(std::uint32_t slot) {
-  const double arrives = egress_admit(slots_[static_cast<std::size_t>(slot)]);
-  if (arrives < 0) {
-    release(slot);
-    return;
-  }
-  loop_.schedule_at(arrives, [this, slot] { arrive_pooled(slot); });
-}
-
 // ---- per-lane delivery walkers ---------------------------------------------
 //
 // One IngressQueue per (port, priority) lane.  Arrivals enqueue into the
 // lane's pending heap at send time; fates (detached / tail-drop / delivery
 // instant) are sealed strictly in (arrival, send-order) sequence with the
-// lane's busy horizon as of the arrival instant — exactly the values the
-// per-closure engine computes — but lazily, at walker firings.  The walker
-// is armed at the lane's next delivery instant: when the head's predicted
-// instant holds (the common case on quiet lanes), one POD event finalizes
-// and delivers it in a single pop.  Predictions can only go stale upward
-// (busy horizons never shrink), so a walker never fires after the true
-// instant — a stale early firing just re-arms.  Drops are recorded with
-// the arrival timestamp (resolve_at), matching the per-closure engine;
-// only the position in the trace log shifts.
+// lane's busy horizon as of the arrival instant — exactly the values an
+// eager per-message evaluation computes — but lazily, at walker firings.
+// The walker is armed at the lane's next delivery instant: when the head's
+// predicted instant holds (the common case on quiet lanes), one POD event
+// finalizes and delivers it in a single pop.  Predictions can only go stale
+// upward (busy horizons never shrink), so a walker never fires after the
+// true instant — a stale early firing just re-arms.  Drops are recorded
+// with the arrival timestamp (resolve_at), the instant their fate was
+// sealed, at the trace position where the walker reached them.
 
 void Network::ingress_enqueue(std::uint32_t slot, double arr) {
   const Message& msg = slots_[static_cast<std::size_t>(slot)];
@@ -302,7 +320,7 @@ void Network::finalize_arrival(std::uint32_t lane, const Pending& p,
   in_lane.busy_until = done;
   if (done <= now) {
     // The armed prediction held exactly: finalize and deliver in one pop.
-    deliver_pooled(p.slot);
+    deliver(p.slot);
   } else {
     ingress_[static_cast<std::size_t>(lane)].ready.push_back(
         Ready{done, p.slot});
@@ -326,7 +344,7 @@ void Network::walk_lane(std::uint32_t lane, std::uint32_t gen) {
     }
     const std::uint32_t slot = q.ready[q.ready_head].slot;
     ++q.ready_head;
-    deliver_pooled(slot);
+    deliver(slot);
   }
   // Seal matured arrivals in (arr, order) sequence.
   for (;;) {
@@ -384,41 +402,7 @@ void Network::arm_lane(std::uint32_t lane) {
   loop_.schedule_pod_at(next, pod_walk_kind_, lane, q.gen);
 }
 
-void Network::arrive_pooled(std::uint32_t slot) {
-  Message& msg = slots_[static_cast<std::size_t>(slot)];
-  Port& d = ports_[static_cast<std::size_t>(msg.dst)];
-  if (!d.attached) {
-    --stats_.in_flight;
-    ++stats_.dropped_detached;
-    metrics_.in_flight.add(-1);
-    metrics_.dropped_detached.inc();
-    resolve(msg, NetTraceEvent::Outcome::kDroppedDetached);
-    release(slot);
-    return;
-  }
-  const bool priority = is_priority_type(msg.type);
-  const double now = loop_.now();
-  Lane& in_lane = priority ? d.ingress_ctrl : d.ingress_data;
-  const double in_bps = priority
-                            ? d.nic.ingress_bps * d.nic.control_share
-                            : d.nic.ingress_bps * (1.0 - d.nic.control_share);
-  const double in_backlog = std::max(0.0, in_lane.busy_until - now);
-  if (in_backlog > d.nic.max_queue_s) {
-    --stats_.in_flight;
-    ++stats_.dropped_ingress;
-    metrics_.in_flight.add(-1);
-    metrics_.dropped_ingress.inc();
-    resolve(msg, NetTraceEvent::Outcome::kDroppedIngress);
-    release(slot);
-    return;
-  }
-  const double in_ser = static_cast<double>(msg.size_bytes) * 8.0 / in_bps;
-  const double done = std::max(now, in_lane.busy_until) + in_ser;
-  in_lane.busy_until = done;
-  loop_.schedule_at(done, [this, slot] { deliver_pooled(slot); });
-}
-
-void Network::deliver_pooled(std::uint32_t slot) {
+void Network::deliver(std::uint32_t slot) {
   // Move out before running the receiver: on_message may send, and a send
   // can grow the arena, invalidating references into slots_.
   Message msg = std::move(slots_[static_cast<std::size_t>(slot)]);
@@ -438,93 +422,6 @@ void Network::deliver_pooled(std::uint32_t slot) {
   metrics_.bytes_delivered.inc(static_cast<std::uint64_t>(msg.size_bytes));
   resolve(msg, NetTraceEvent::Outcome::kDelivered);
   d.node->on_message(msg);
-}
-
-// ---- legacy engine ---------------------------------------------------------
-
-void Network::transmit(Message msg) {
-  Port& src = port_at(msg.src);
-  if (!src.attached) {
-    // A duplicated copy can outlive its sender's NIC.
-    --stats_.in_flight;
-    ++stats_.dropped_detached;
-    metrics_.in_flight.add(-1);
-    metrics_.dropped_detached.inc();
-    resolve(msg, NetTraceEvent::Outcome::kDroppedDetached);
-    return;
-  }
-  Port& dst = port_at(msg.dst);
-
-  const bool priority = is_priority_type(msg.type);
-  const double now = loop_.now();
-
-  // --- egress serialization -------------------------------------------------
-  Lane& out_lane = priority ? src.egress_ctrl : src.egress_data;
-  const double out_bps = priority ? src.nic.egress_bps * src.nic.control_share
-                                  : src.nic.egress_bps * (1.0 - src.nic.control_share);
-  const double out_backlog = std::max(0.0, out_lane.busy_until - now);
-  if (out_backlog > src.nic.max_queue_s) {
-    --stats_.in_flight;
-    ++stats_.dropped_egress;
-    metrics_.in_flight.add(-1);
-    metrics_.dropped_egress.inc();
-    resolve(msg, NetTraceEvent::Outcome::kDroppedEgress);
-    return;
-  }
-  const double out_ser = static_cast<double>(msg.size_bytes) * 8.0 / out_bps;
-  const double departs = std::max(now, out_lane.busy_until) + out_ser;
-  out_lane.busy_until = departs;
-
-  const double arrives_at_nic = departs + propagation_s(src, dst);
-
-  // --- ingress serialization (evaluated on arrival at the receiver NIC) -----
-  const NodeId dst_id = msg.dst;
-  loop_.schedule_at(arrives_at_nic, [this, dst_id, priority,
-                                     msg = std::move(msg)]() mutable {
-    Port& d = ports_[static_cast<std::size_t>(dst_id)];
-    if (!d.attached) {
-      --stats_.in_flight;
-      ++stats_.dropped_detached;
-      metrics_.in_flight.add(-1);
-      metrics_.dropped_detached.inc();
-      resolve(msg, NetTraceEvent::Outcome::kDroppedDetached);
-      return;
-    }
-    const double now2 = loop_.now();
-    Lane& in_lane = priority ? d.ingress_ctrl : d.ingress_data;
-    const double in_bps = priority
-                              ? d.nic.ingress_bps * d.nic.control_share
-                              : d.nic.ingress_bps * (1.0 - d.nic.control_share);
-    const double in_backlog = std::max(0.0, in_lane.busy_until - now2);
-    if (in_backlog > d.nic.max_queue_s) {
-      --stats_.in_flight;
-      ++stats_.dropped_ingress;
-      metrics_.in_flight.add(-1);
-      metrics_.dropped_ingress.inc();
-      resolve(msg, NetTraceEvent::Outcome::kDroppedIngress);
-      return;
-    }
-    const double in_ser = static_cast<double>(msg.size_bytes) * 8.0 / in_bps;
-    const double done = std::max(now2, in_lane.busy_until) + in_ser;
-    in_lane.busy_until = done;
-    loop_.schedule_at(done, [this, dst_id, msg = std::move(msg)]() mutable {
-      Port& d2 = ports_[static_cast<std::size_t>(dst_id)];
-      --stats_.in_flight;
-      metrics_.in_flight.add(-1);
-      if (!d2.attached) {
-        ++stats_.dropped_detached;
-        metrics_.dropped_detached.inc();
-        resolve(msg, NetTraceEvent::Outcome::kDroppedDetached);
-        return;
-      }
-      ++stats_.delivered;
-      stats_.bytes_delivered += msg.size_bytes;
-      metrics_.delivered.inc();
-      metrics_.bytes_delivered.inc(static_cast<std::uint64_t>(msg.size_bytes));
-      resolve(msg, NetTraceEvent::Outcome::kDelivered);
-      d2.node->on_message(msg);
-    });
-  });
 }
 
 }  // namespace shuffledef::cloudsim

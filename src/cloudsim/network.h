@@ -17,24 +17,18 @@
 // Domains model the paper's separately-managed cloud regions: traffic
 // between different domains pays `inter_domain_extra_s` more propagation.
 //
-// Two delivery engines share this model:
-//
-//  * legacy (default): each in-flight message rides inside two heap-
-//    allocated std::function closures.  Simple, and retained as the
-//    reference the pooled engine is differentially tested against.
-//  * pooled (set_pooled_delivery): messages live in a slot arena and the
-//    network schedules POD fast-path events against it — no per-message
-//    heap allocation.  With batched delivery on (the default), each ingress
-//    lane runs a *walker*: arrivals enqueue into a per-lane pending heap
-//    and one POD event per lane fires at the next delivery instant,
-//    draining every matured arrival in (arrival, send-order) sequence.
-//    Quiet lanes pay a single 32-byte event per delivered message instead
-//    of two 48-byte closures.  set_batch_delivery(false) degrades to one
-//    scheduled closure per arrival and per delivery — the within-pooled
-//    differential oracle; delivery instants are identical either way.
+// One delivery engine carries every message.  In-flight messages live in a
+// free-listed slot arena (no per-message heap allocation), and each ingress
+// lane runs a *walker*: arrivals enqueue into a per-lane pending heap and
+// one POD event per lane fires at the lane's next delivery instant,
+// draining every matured arrival in (arrival, send-order) sequence with the
+// lane's busy horizon as of the arrival instant — exactly the eager model
+// above, sealed lazily.  A quiet lane pays a single 32-byte event per
+// delivered message.
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -72,11 +66,22 @@ struct NicConfig {
   double max_queue_s = 0.5;     // tail-drop beyond this backlog
   /// Fraction of bandwidth reserved for the priority (control) lane.
   double control_share = 0.1;
+
+  /// All violations at once, each prefixed (e.g. "client_nic.") for
+  /// embedding in a composite config's report.  Network::attach throws
+  /// std::invalid_argument listing every violation.
+  [[nodiscard]] std::vector<std::string> violations(
+      const std::string& prefix = {}) const;
 };
 
 struct NetworkConfig {
   double intra_domain_extra_s = 0.0005;
   double inter_domain_extra_s = 0.03;
+
+  /// All violations at once, each prefixed (e.g. "network."); the Network
+  /// constructor throws std::invalid_argument listing every violation.
+  [[nodiscard]] std::vector<std::string> violations(
+      const std::string& prefix = {}) const;
 };
 
 struct NetworkStats {
@@ -152,18 +157,6 @@ class Network {
   void send_batch(NodeId src, MessageType type, std::int64_t size_bytes,
                   std::vector<BatchItem> items);
 
-  /// Route messages through the slot arena (no per-message heap
-  /// allocation).  Delivery instants and outcomes are identical to the
-  /// legacy engine — the pooled-vs-legacy differential tests pin it.
-  void set_pooled_delivery(bool on) noexcept { pooled_ = on; }
-  [[nodiscard]] bool pooled_delivery() const noexcept { return pooled_; }
-
-  /// When off, every pooled arrival and delivery rides its own scheduled
-  /// closure instead of the per-lane walker (differential oracle for the
-  /// batched engine).  Only meaningful with pooled delivery.
-  void set_batch_delivery(bool on) noexcept { batch_enabled_ = on; }
-  [[nodiscard]] bool batch_delivery() const noexcept { return batch_enabled_; }
-
   /// Pre-size the message arena (large scenarios).
   void reserve_messages(std::size_t n) { slots_.reserve(n); }
 
@@ -233,9 +226,6 @@ class Network {
   const Port& port_at(NodeId id) const;
   [[nodiscard]] double propagation_s(const Port& src, const Port& dst) const;
 
-  /// Push a (fault-gate-passed) message through egress/propagation/ingress.
-  /// Callers must have counted it into stats_.in_flight.
-  void transmit(Message msg);
   void resolve(const Message& msg, NetTraceEvent::Outcome outcome);
   /// Trace with an explicit timestamp: lazily finalized walker drops record
   /// the instant the fate was sealed (the NIC arrival), not discovery time.
@@ -246,22 +236,18 @@ class Network {
   /// (dropped); on true the caller owns one in_flight unit.
   bool admit(Message& msg);
 
-  // ---- pooled engine -------------------------------------------------------
+  // ---- slot arena ----------------------------------------------------------
   std::uint32_t acquire(Message&& msg);
   void release(std::uint32_t slot);
-  /// Route an admitted arena message: per-lane walker when batching is on,
-  /// otherwise one scheduled closure per arrival and per delivery.
-  void dispatch_pooled(std::uint32_t slot);
-  /// Egress + propagation for the arena message; drops or schedules arrival.
-  void transmit_pooled(std::uint32_t slot);
-  /// Ingress evaluation at the receiver NIC; drops or schedules delivery.
-  void arrive_pooled(std::uint32_t slot);
-  void deliver_pooled(std::uint32_t slot);
+  /// Egress + propagation for an admitted arena message, then hand it to
+  /// its receiving lane's walker (or drop it at egress).
+  void dispatch(std::uint32_t slot);
+  void deliver(std::uint32_t slot);
   /// Egress only; returns the NIC-arrival time, or a negative value when the
   /// message was tail-dropped at egress (already accounted + resolved).
   double egress_admit(Message& msg);
 
-  // ---- per-lane delivery walkers (pooled + batched) ------------------------
+  // ---- per-lane delivery walkers -------------------------------------------
   void ingress_enqueue(std::uint32_t slot, double arr);
   /// Seal the fate of one matured arrival with busy-as-of-arrival semantics:
   /// drop (detached / backlog) or commit a delivery instant.
@@ -278,12 +264,10 @@ class Network {
   NetworkStats stats_;
   FaultInjector* fault_ = nullptr;
   bool trace_enabled_ = false;
-  bool pooled_ = false;
-  bool batch_enabled_ = true;
   std::uint16_t pod_walk_kind_ = 0;
   std::uint64_t arrival_order_ = 0;
   std::vector<NetTraceEvent> trace_;
-  std::vector<Message> slots_;  // arena: in-flight pooled messages
+  std::vector<Message> slots_;  // arena: in-flight messages
   std::vector<std::uint32_t> free_slots_;
   std::vector<IngressQueue> ingress_;  // indexed 2 * port + priority
   // Null handles when no registry is set (all mirror ops no-op).

@@ -1,6 +1,7 @@
 #include "cloudsim/scenario.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -9,39 +10,49 @@ namespace shuffledef::cloudsim {
 
 std::vector<std::string> ScenarioConfig::validate() const {
   std::vector<std::string> violations;
+  const auto append = [&](std::vector<std::string> more) {
+    for (auto& v : more) violations.push_back(std::move(v));
+  };
+  const auto require_nonnegative = [&](double v, const char* name) {
+    if (!std::isfinite(v) || v < 0.0) {
+      violations.push_back(std::string(name) + " must be finite and >= 0");
+    }
+  };
   if (domains < 1) violations.push_back("domains must be >= 1");
   if (initial_replicas < 1) {
     violations.push_back("initial_replicas must be >= 1");
   }
   if (hot_spares < 0) violations.push_back("hot_spares must be >= 0");
-  if (boot_delay_s < 0.0) violations.push_back("boot_delay_s must be >= 0");
+  require_nonnegative(boot_delay_s, "boot_delay_s");
   if (clients < 0) violations.push_back("clients must be >= 0");
   if (persistent_bots < 0) {
     violations.push_back("persistent_bots must be >= 0");
   }
   if (naive_bots < 0) violations.push_back("naive_bots must be >= 0");
-  if (client_latency_min_s < 0.0 ||
-      client_latency_max_s < client_latency_min_s) {
-    violations.push_back("client latency must satisfy 0 <= min <= max");
+  if (!std::isfinite(client_latency_max_s) ||
+      !(client_latency_min_s >= 0.0 &&
+        client_latency_max_s >= client_latency_min_s)) {
+    violations.push_back(
+        "client_latency_min_s / client_latency_max_s must satisfy "
+        "0 <= min <= max < inf");
   }
-  if (client_start_spread_s < 0.0) {
-    violations.push_back("client_start_spread_s must be >= 0");
+  require_nonnegative(client_start_spread_s, "client_start_spread_s");
+  if (!std::isfinite(client_request_timeout_s) ||
+      client_request_timeout_s <= 0.0) {
+    violations.push_back("client_request_timeout_s must be finite and > 0");
   }
-  if (bot_start_spread_s < 0.0) {
-    violations.push_back("bot_start_spread_s must be >= 0");
-  }
-  if (bot_start_offset_s < 0.0) {
-    violations.push_back("bot_start_offset_s must be >= 0");
-  }
-  if (bot_junk_rate_pps < 0.0) {
-    violations.push_back("bot_junk_rate_pps must be >= 0");
-  }
-  if (bot_heavy_interval_s < 0.0) {
-    violations.push_back("bot_heavy_interval_s must be >= 0");
-  }
-  if (naive_junk_rate_pps < 0.0) {
-    violations.push_back("naive_junk_rate_pps must be >= 0");
-  }
+  require_nonnegative(client_browse_think_s, "client_browse_think_s");
+  require_nonnegative(client_heartbeat_s, "client_heartbeat_s");
+  require_nonnegative(bot_start_spread_s, "bot_start_spread_s");
+  require_nonnegative(bot_start_offset_s, "bot_start_offset_s");
+  require_nonnegative(bot_junk_rate_pps, "bot_junk_rate_pps");
+  require_nonnegative(bot_heavy_interval_s, "bot_heavy_interval_s");
+  require_nonnegative(naive_junk_rate_pps, "naive_junk_rate_pps");
+  append(network.violations("network."));
+  append(replica_nic.violations("replica_nic."));
+  append(lb_nic.violations("lb_nic."));
+  append(infra_nic.violations("infra_nic."));
+  append(client_nic.violations("client_nic."));
   if (!bot_strategy.empty()) {
     const auto& names = core::strategy_names();
     if (std::find(names.begin(), names.end(), bot_strategy) == names.end()) {
@@ -53,9 +64,7 @@ std::vector<std::string> ScenarioConfig::validate() const {
       violations.push_back("bot_strategy unknown strategy '" + bot_strategy +
                            "' (expected " + known + ")");
     }
-    for (auto& v : bot_strategy_options.violations("bot_strategy_options.")) {
-      violations.push_back(std::move(v));
-    }
+    append(bot_strategy_options.violations("bot_strategy_options."));
   }
   if (!(bot_strategy_round_s > 0.0)) {
     violations.push_back("bot_strategy_round_s must be > 0");
@@ -64,17 +73,9 @@ std::vector<std::string> ScenarioConfig::validate() const {
   if (!(swarm_sweep_dt_s > 0.0)) {
     violations.push_back("swarm_sweep_dt_s must be > 0");
   }
-  for (auto& v : coordinator.controller.violations("coordinator.controller.")) {
-    violations.push_back(std::move(v));
-  }
-  if (qos.enabled) {
-    for (auto& v : qos.violations("qos.")) {
-      violations.push_back(std::move(v));
-    }
-  }
-  for (auto& v : faults.violations("faults.")) {
-    violations.push_back(std::move(v));
-  }
+  append(coordinator.controller.violations("coordinator.controller."));
+  if (qos.enabled) append(qos.violations("qos."));
+  append(faults.violations("faults."));
   return violations;
 }
 
@@ -114,11 +115,6 @@ Scenario::Scenario(ScenarioConfig config) {
   world_->loop().set_registry(registry_);
   world_->network().set_registry(registry_);
   if (config.record_net_trace) world_->network().enable_trace();
-  // The flat engine requires the pooled arena (its per-member start events
-  // and the batched redirect fan-outs assume POD closures + slot storage).
-  world_->network().set_pooled_delivery(config.pooled_delivery ||
-                                        engine_ == ClientEngine::kFlat);
-  world_->network().set_batch_delivery(config.batch_delivery);
   if (engine_ == ClientEngine::kFlat) {
     const auto population = static_cast<std::size_t>(
         config.clients + config.persistent_bots + config.naive_bots);

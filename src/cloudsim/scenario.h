@@ -30,9 +30,12 @@ namespace shuffledef::cloudsim {
 ///  * kPerObject — one ClientAgent / PersistentBot heap object per member
 ///    (the original engine; per-member record vectors, per-timer closures).
 ///  * kFlat — one ClientSwarm node holding the whole population as SoA
-///    columns, with pooled message delivery forced on.  Scales to 10^6
-///    members; timers are quantized to `swarm_sweep_dt_s` and per-member
-///    stats collapse to aggregates (see cloudsim/client_swarm.h).
+///    columns.  Scales to 10^6 members; timers are quantized to
+///    `swarm_sweep_dt_s` and per-member stats collapse to aggregates (see
+///    cloudsim/client_swarm.h).
+///
+/// Both engines send through the same network delivery engine (the slot
+/// arena and per-lane walkers of cloudsim/network.h).
 enum class ClientEngine { kPerObject, kFlat };
 
 struct ScenarioConfig {
@@ -103,13 +106,6 @@ struct ScenarioConfig {
   /// Flat engine timer granularity (timeouts/heartbeats/bot cadences fire
   /// on sweep boundaries).
   double swarm_sweep_dt_s = 0.25;
-  /// Route traffic through the network's pooled slot arena (POD closures,
-  /// no per-message allocation).  Forced on by the flat engine; off by
-  /// default so the legacy engine stays the differential reference.
-  bool pooled_delivery = false;
-  /// Allow send_batch fan-outs to ride one walking event per batch (off
-  /// degrades them to per-message sends — the batching oracle).
-  bool batch_delivery = true;
 
   NetworkConfig network;
 

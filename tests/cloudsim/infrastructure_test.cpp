@@ -1,6 +1,12 @@
 // Cloud provider lifecycle, multi-LB scenarios, and client resilience.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "cloudsim/cloud_provider.h"
 #include "cloudsim/scenario.h"
 
@@ -136,6 +142,57 @@ TEST(Scenario, RejectsDegenerateConfig) {
   ScenarioConfig cfg2;
   cfg2.initial_replicas = 0;
   EXPECT_THROW(Scenario{cfg2}, std::invalid_argument);
+}
+
+TEST(Scenario, RejectsMalformedNetworkNicAndTimingFields) {
+  // Each of these used to be accepted: some failed mid-run inside the event
+  // loop, and a NaN max_queue_s silently turned tail drop off.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* field;
+    std::function<void(ScenarioConfig&)> spoil;
+  };
+  const std::vector<Case> cases = {
+      {"network.intra_domain_extra_s",
+       [](ScenarioConfig& c) { c.network.intra_domain_extra_s = -0.05; }},
+      {"network.inter_domain_extra_s",
+       [&](ScenarioConfig& c) { c.network.inter_domain_extra_s = nan; }},
+      {"client_nic.egress_bps",
+       [&](ScenarioConfig& c) { c.client_nic.egress_bps = nan; }},
+      {"infra_nic.ingress_bps",
+       [](ScenarioConfig& c) { c.infra_nic.ingress_bps = 0.0; }},
+      {"replica_nic.base_latency_s",
+       [&](ScenarioConfig& c) { c.replica_nic.base_latency_s = inf; }},
+      {"replica_nic.max_queue_s",
+       [&](ScenarioConfig& c) { c.replica_nic.max_queue_s = nan; }},
+      {"lb_nic.control_share",
+       [](ScenarioConfig& c) { c.lb_nic.control_share = 1.0; }},
+      {"client_latency_max_s",
+       [&](ScenarioConfig& c) { c.client_latency_max_s = nan; }},
+      {"client_request_timeout_s",
+       [](ScenarioConfig& c) { c.client_request_timeout_s = -1.0; }},
+      {"client_request_timeout_s",
+       [](ScenarioConfig& c) { c.client_request_timeout_s = 0.0; }},
+      {"client_heartbeat_s",
+       [](ScenarioConfig& c) { c.client_heartbeat_s = -1.0; }},
+      {"client_browse_think_s",
+       [&](ScenarioConfig& c) { c.client_browse_think_s = nan; }},
+      {"boot_delay_s", [&](ScenarioConfig& c) { c.boot_delay_s = nan; }},
+      {"client_start_spread_s",
+       [&](ScenarioConfig& c) { c.client_start_spread_s = nan; }},
+  };
+  for (const auto& c : cases) {
+    ScenarioConfig cfg;
+    c.spoil(cfg);
+    try {
+      Scenario s(cfg);
+      ADD_FAILURE() << c.field << ": accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << c.field << ": " << e.what();
+    }
+  }
 }
 
 }  // namespace

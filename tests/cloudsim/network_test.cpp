@@ -1,6 +1,11 @@
 #include "cloudsim/network.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cloudsim/fault.h"
@@ -324,6 +329,128 @@ TEST(NetworkProperty, ConservationHoldsUnderFuzzedTrafficAndFaults) {
     EXPECT_GT(stats.delivered, 0u);
     EXPECT_GT(stats.dropped_faulted, 0u);
     EXPECT_GT(stats.duplicated, 0u);
+  }
+}
+
+// Property: the lane walkers seal exactly the fates an eager per-message
+// evaluation computes.  Open-loop traffic (sinks never reply) over congested
+// NICs is replayed through the model directly: egress at send time, then
+// each ingress lane in (arrival, send order) against its busy horizon as of
+// the arrival instant.
+TEST(NetworkProperty, WalkerMatchesEagerOpenLoopModel) {
+  struct Send {
+    double t;
+    std::size_t src, dst;
+    bool ctrl;
+    std::int64_t bytes;
+  };
+  struct Arrival {
+    double at;
+    std::size_t order, dst;
+    bool ctrl;
+    std::int64_t bytes;
+  };
+  using Delivery = std::pair<double, std::int64_t>;
+  constexpr std::size_t kNodes = 5;
+  const NetworkConfig net;  // World's defaults
+  const auto lane_bps = [](double bps, const NicConfig& nic, bool ctrl) {
+    return ctrl ? bps * nic.control_share : bps * (1.0 - nic.control_share);
+  };
+  for (std::uint64_t seed : {3u, 14u, 15u, 92u}) {
+    util::Rng rng(seed);
+    World world;
+    std::vector<NicConfig> nics;
+    std::vector<SinkNode*> nodes;
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      const double k = static_cast<double>(i + 1);
+      nics.push_back(NicConfig{.egress_bps = 1.5e6 * k,
+                               .ingress_bps = 2e6 * (6.0 - k),
+                               .base_latency_s = 0.004 * k,
+                               .domain = static_cast<std::int32_t>(i % 2),
+                               .max_queue_s = 0.04 * k});
+      nodes.push_back(
+          world.spawn<SinkNode>(nics.back(), "n" + std::to_string(i)));
+    }
+    std::vector<Send> sends;
+    for (int i = 0; i < 400; ++i) {
+      Send s{};
+      s.t = rng.uniform();
+      s.src = static_cast<std::size_t>(rng.uniform_int(0, kNodes - 1));
+      s.dst = static_cast<std::size_t>(rng.uniform_int(0, kNodes - 1));
+      s.ctrl = rng.bernoulli(0.3);
+      s.bytes =
+          s.ctrl ? rng.uniform_int(64, 1500) : rng.uniform_int(500, 40'000);
+      sends.push_back(s);
+      world.loop().schedule_at(s.t, [&world, &nodes, s] {
+        world.network().send(
+            {nodes[s.src]->id(), nodes[s.dst]->id(),
+             s.ctrl ? MessageType::kWsPush : MessageType::kHttpResponse,
+             s.bytes,
+             {}});
+      });
+    }
+    world.loop().run();
+
+    // The eager model.  Busy horizons are indexed 2 * node + ctrl.
+    std::vector<std::size_t> by_time(sends.size());
+    for (std::size_t i = 0; i < by_time.size(); ++i) by_time[i] = i;
+    std::stable_sort(by_time.begin(), by_time.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return sends[a].t < sends[b].t;
+                     });
+    std::vector<double> egress_busy(2 * kNodes, 0.0);
+    std::vector<double> ingress_busy(2 * kNodes, 0.0);
+    std::vector<Arrival> arrivals;
+    std::uint64_t dropped_egress = 0;
+    std::uint64_t dropped_ingress = 0;
+    for (const std::size_t i : by_time) {
+      const Send& s = sends[i];
+      const NicConfig& src = nics[s.src];
+      const NicConfig& dst = nics[s.dst];
+      double& busy = egress_busy[2 * s.src + (s.ctrl ? 1 : 0)];
+      if (std::max(0.0, busy - s.t) > src.max_queue_s) {
+        ++dropped_egress;
+        continue;
+      }
+      busy = std::max(s.t, busy) + static_cast<double>(s.bytes) * 8.0 /
+                                       lane_bps(src.egress_bps, src, s.ctrl);
+      const double extra = src.domain == dst.domain ? net.intra_domain_extra_s
+                                                    : net.inter_domain_extra_s;
+      arrivals.push_back(Arrival{
+          busy + (src.base_latency_s + dst.base_latency_s + extra),
+          arrivals.size(), s.dst, s.ctrl, s.bytes});
+    }
+    std::sort(arrivals.begin(), arrivals.end(),
+              [](const Arrival& a, const Arrival& b) {
+                return std::tie(a.at, a.order) < std::tie(b.at, b.order);
+              });
+    std::vector<std::vector<Delivery>> want(kNodes);
+    for (const Arrival& a : arrivals) {
+      const NicConfig& dst = nics[a.dst];
+      double& busy = ingress_busy[2 * a.dst + (a.ctrl ? 1 : 0)];
+      if (std::max(0.0, busy - a.at) > dst.max_queue_s) {
+        ++dropped_ingress;
+        continue;
+      }
+      busy = std::max(a.at, busy) + static_cast<double>(a.bytes) * 8.0 /
+                                        lane_bps(dst.ingress_bps, dst, a.ctrl);
+      want[a.dst].emplace_back(busy, a.bytes);
+    }
+
+    const auto& stats = world.network().stats();
+    EXPECT_EQ(stats.dropped_egress, dropped_egress) << "seed " << seed;
+    EXPECT_EQ(stats.dropped_ingress, dropped_ingress) << "seed " << seed;
+    EXPECT_GT(dropped_egress, 0u) << "seed " << seed;
+    EXPECT_GT(dropped_ingress, 0u) << "seed " << seed;
+    for (std::size_t n = 0; n < kNodes; ++n) {
+      std::vector<Delivery> got;
+      for (const auto& ar : nodes[n]->arrivals) {
+        got.emplace_back(ar.time, ar.bytes);
+      }
+      std::sort(got.begin(), got.end());
+      std::sort(want[n].begin(), want[n].end());
+      EXPECT_EQ(got, want[n]) << "seed " << seed << " node " << n;
+    }
   }
 }
 
