@@ -12,7 +12,8 @@
 //     engine is only timed up to 10^5 — that is where the >= 10x headline
 //     is taken; 10^6 is flat-only, the population the old engine cannot
 //     carry).  --bench-json persists the numbers (CI uploads
-//     BENCH_cloudsim.json).
+//     BENCH_cloudsim.json); --metrics-json / --metrics-csv export the
+//     largest flat run's metrics snapshot (its shard_threads = 1 cell).
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -85,8 +86,9 @@ struct Fingerprint {
   bool operator==(const Fingerprint&) const = default;
 };
 
+/// `metrics` (optional) receives the run's metrics snapshot.
 Fingerprint run_flat(std::int64_t clients, std::uint64_t seed, int threads,
-                     double horizon) {
+                     double horizon, obs::MetricsSnapshot* metrics = nullptr) {
   auto cfg = scale_config(clients, seed);
   cfg.client_engine = ClientEngine::kFlat;
   cfg.shard_threads = threads;
@@ -95,6 +97,7 @@ Fingerprint run_flat(std::int64_t clients, std::uint64_t seed, int threads,
     throw std::runtime_error("event budget exhausted at N=" +
                              std::to_string(clients));
   }
+  if (metrics != nullptr) *metrics = s.metrics();
   const auto& net = s.world().network().stats();
   const auto& sw = s.swarm()->stats();
   return Fingerprint{net.sends,
@@ -134,6 +137,8 @@ int run_bench(int argc, char** argv) {
   auto& bench_json = flags.add_string(
       "bench-json", "",
       "write wall-clock / speedup / bit-identity numbers to this JSON file");
+  bench::MetricsExport metrics_export;
+  metrics_export.add_flags(flags, /*bench_json_alias=*/false);
   flags.parse(argc, argv);
   bench::require_reps(reps);
   bench::require_horizon(horizon);
@@ -163,12 +168,18 @@ int run_bench(int argc, char** argv) {
       grid.cost_hints.push_back(static_cast<double>(clients));
     }
   }
+  // The exported snapshot: the largest scale's shard_threads = 1 cell.
+  const std::size_t largest_cell = (scales.size() - 1) * thread_grid.size();
+  obs::MetricsSnapshot largest_metrics;
   const auto sweep = runner.run(grid, [&](const sim::SweepCell& cell) {
     const std::int64_t clients = scales[cell.index / thread_grid.size()];
     const int threads = thread_grid[cell.index % thread_grid.size()];
     // Fixed per-scale seed (not the sweep's seed chain): every thread count
     // must simulate the identical scenario.
-    return run_flat(clients, cfg_seed, threads, horizon);
+    return run_flat(clients, cfg_seed, threads, horizon,
+                    cell.index == largest_cell && metrics_export.requested()
+                        ? &largest_metrics
+                        : nullptr);
   });
 
   bool identical = true;
@@ -275,6 +286,8 @@ int run_bench(int argc, char** argv) {
     }
     out.write(bench_json);
   }
+
+  metrics_export.write_if_requested([&] { return largest_metrics; });
 
   if (!identical || !conserved) return EXIT_FAILURE;
   std::cout << "Reproduction check: flat swarm bit-identical across shard "

@@ -137,6 +137,17 @@ int run_bench(int argc, char** argv) {
       "bench-json", "", "write machine-readable results (BENCH_qos.json)");
   flags.parse(argc, argv);
   bench::require_horizon(horizon);
+  bench::require_positive("window", window);
+  bench::require_positive("threshold", threshold);
+  bench::require_at_least_one("clients", clients);
+  if (horizon < kAttackAt + window) {
+    // Restoration is read from windows after the attack; with none, every
+    // variant "restores" at the attack instant and the verdict is vacuous.
+    throw std::invalid_argument(
+        "--horizon must fit one --window after the attack at " +
+        util::fmt(kAttackAt, 0) + " s (got horizon " + util::fmt(horizon, 1) +
+        ", window " + util::fmt(window, 1) + ")");
+  }
 
   const std::vector<double> cadences = {1.0, 2.0, 4.0, 8.0};
 

@@ -104,6 +104,14 @@ int run_bench(int argc, char** argv) {
   metrics_export.add_flags(flags);
   flags.parse(argc, argv);
   bench::require_horizon(horizon);
+  bench::require_positive("window", window);
+  bench::require_at_least_one("clients", clients);
+  bench::require_at_least_zero("bots", bots);
+  if (window > horizon) {
+    throw std::invalid_argument("--window must not exceed --horizon (got " +
+                                util::fmt(window, 1) + " > " +
+                                util::fmt(horizon, 1) + ")");
+  }
 
   // The two worlds are independent simulations; --jobs 2 runs them side by
   // side with results identical to the serial order.

@@ -1,9 +1,10 @@
 // Shared entry point of the bench binaries.  Every bench's main runs its
 // body through guarded_main, so a bad configuration ends the way a bad flag
 // does (util::Flags): a one-line message on stderr and exit code 2, not
-// std::terminate.  require_reps / require_horizon / require_at_least_one
-// reject numeric flags whose bad values would otherwise crash a run or
-// silently simulate something else; benches call them right after parsing.
+// std::terminate.  The require_* helpers reject numeric flags whose bad
+// values would otherwise crash a run, hit undefined behaviour, or silently
+// simulate something else (a vacuous verdict); benches call them right after
+// parsing.
 #pragma once
 
 #include <cmath>
@@ -37,6 +38,34 @@ inline void require_at_least_one(std::string_view name, std::int64_t value) {
     throw std::invalid_argument("--" + std::string(name) +
                                 " must be >= 1 (got " + std::to_string(value) +
                                 ")");
+  }
+}
+
+/// Throws std::invalid_argument unless the integer flag --`name` is at
+/// least 0.
+inline void require_at_least_zero(std::string_view name, std::int64_t value) {
+  if (value < 0) {
+    throw std::invalid_argument("--" + std::string(name) +
+                                " must be >= 0 (got " + std::to_string(value) +
+                                ")");
+  }
+}
+
+/// Throws std::invalid_argument unless the flag --`name` is finite and > 0.
+inline void require_positive(std::string_view name, double value) {
+  if (!std::isfinite(value) || value <= 0.0) {
+    throw std::invalid_argument("--" + std::string(name) +
+                                " must be finite and > 0 (got " +
+                                std::to_string(value) + ")");
+  }
+}
+
+/// Throws std::invalid_argument unless the flag --`name` is finite and >= 0.
+inline void require_non_negative(std::string_view name, double value) {
+  if (!std::isfinite(value) || value < 0.0) {
+    throw std::invalid_argument("--" + std::string(name) +
+                                " must be finite and >= 0 (got " +
+                                std::to_string(value) + ")");
   }
 }
 

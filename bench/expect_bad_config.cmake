@@ -1,7 +1,10 @@
 # Bad configuration values must end a bench with a message and exit code 2,
 # not std::terminate or a silently empty run.  Run by ctest as
 #   cmake -DFIG08=<fig08 binary> -DCLOUDSIM=<abl_cloudsim_scale binary>
-#         -DCLIENTSIM=<abl_client_scale binary> -P expect_bad_config.cmake
+#         -DCLIENTSIM=<abl_client_scale binary>
+#         -DQOS_FEEDBACK=<abl_qos_feedback binary>
+#         -DQOS_RESTORATION=<abl_qos_restoration binary>
+#         -DFIG12=<fig12_migration_latency binary> -P expect_bad_config.cmake
 
 function(expect_exit_2 expected_stderr)
   execute_process(COMMAND ${ARGN} RESULT_VARIABLE code OUTPUT_QUIET
@@ -24,3 +27,9 @@ expect_exit_2("abl_cloudsim_scale: --max-scale must be >= 1 (got -5)"
               ${CLOUDSIM} --max-scale -5)
 expect_exit_2("abl_client_scale: --max-scale must be >= 1 (got -5)"
               ${CLIENTSIM} --max-scale -5)
+expect_exit_2("abl_qos_feedback: --threshold must be finite and > 0 (got nan)"
+              ${QOS_FEEDBACK} --threshold nan)
+expect_exit_2("abl_qos_restoration: --window must be finite and > 0 (got 0"
+              ${QOS_RESTORATION} --window 0)
+expect_exit_2("fig12_migration_latency: --flood-pps must be finite and >= 0"
+              ${FIG12} --flood-pps -1)

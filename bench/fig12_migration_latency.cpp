@@ -132,6 +132,7 @@ int run_bench(int argc, char** argv) {
   metrics_export.add_flags(flags);
   flags.parse(argc, argv);
   bench::require_reps(reps);
+  bench::require_non_negative("flood-pps", flood_pps);
 
   sim::SweepRunner runner(
       sim::SweepConfig{.jobs = static_cast<std::size_t>(jobs_flag)});

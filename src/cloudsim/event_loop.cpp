@@ -1,6 +1,5 @@
 #include "cloudsim/event_loop.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -30,7 +29,7 @@ void EventLoop::schedule_at(SimTime t, std::function<void()> fn) {
     free_closures_.pop_back();
     closures_[slot] = std::move(fn);
   }
-  push(Event{t, seq_++, slot, 0, kClosureKind});
+  heap_.push(t, seq_++, Event{slot, 0, kClosureKind});
 }
 
 void EventLoop::schedule_after(SimTime delay, std::function<void()> fn) {
@@ -62,52 +61,16 @@ void EventLoop::schedule_pod_at(SimTime t, std::uint16_t kind, std::uint32_t a,
   if (kind >= pod_kinds_.size()) {
     throw std::invalid_argument("EventLoop: unregistered POD kind");
   }
-  push(Event{t, seq_++, a, b, kind});
-}
-
-void EventLoop::push(const Event& ev) {
-  // 4-ary sift-up: parent of i is (i - 1) / 4.
-  std::size_t i = heap_.size();
-  heap_.push_back(ev);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!before(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
-  }
-}
-
-EventLoop::Event EventLoop::pop() {
-  const Event top = heap_.front();
-  const Event last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) return top;
-  // 4-ary sift-down of `last` from the root: children of i start at 4i + 1.
-  std::size_t i = 0;
-  for (;;) {
-    const std::size_t first_child = 4 * i + 1;
-    if (first_child >= n) break;
-    const std::size_t last_child = std::min(first_child + 4, n);
-    std::size_t best = first_child;
-    for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (before(heap_[c], heap_[best])) best = c;
-    }
-    if (!before(heap_[best], last)) break;
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = last;
-  return top;
+  heap_.push(t, seq_++, Event{a, b, kind});
 }
 
 bool EventLoop::drain(SimTime t_end) {
-  while (!heap_.empty() && heap_.front().time <= t_end) {
+  while (!heap_.empty() && heap_.top().time() <= t_end) {
     if (processed_ >= budget_) return false;
     ++processed_;
-    dispatched_.inc();
-    const Event ev = pop();
-    now_ = ev.time;
+    const auto node = heap_.pop();
+    now_ = node.time();
+    const Event& ev = node.value;
     if (ev.kind == kClosureKind) {
       // Move out and free the slot first: the closure may schedule more
       // closures, which can reuse the slot or grow the arena under it.
@@ -122,13 +85,26 @@ bool EventLoop::drain(SimTime t_end) {
   return true;
 }
 
+struct EventLoop::PublishOnReturn {
+  EventLoop& loop;
+  ~PublishOnReturn() { loop.publish(); }
+};
+
+void EventLoop::publish() noexcept {
+  dispatched_.inc(processed_ - published_);
+  published_ = processed_;
+  for (const auto& [hook, ctx] : exit_hooks_) hook(ctx);
+}
+
 bool EventLoop::run_until(SimTime t_end) {
+  const PublishOnReturn publish_on_return{*this};
   if (!drain(t_end)) return false;
   if (now_ < t_end) now_ = t_end;
   return true;
 }
 
 bool EventLoop::run() {
+  const PublishOnReturn publish_on_return{*this};
   return drain(std::numeric_limits<SimTime>::infinity());
 }
 

@@ -5,21 +5,24 @@
 // increasing sequence number breaks ties), which keeps every simulation
 // deterministic for a given seed.
 //
-// One heap carries every event: a 4-ary min-heap of 32-byte nodes
-// (time, seq, a, b, kind), kept in an explicit vector so large scenarios
-// can reserve() capacity up front.  A POD event's kind indexes a
-// registered handler, called with the two 32-bit words — the fast path for
-// subsystems that schedule millions of events.  A std::function closure
-// moves into a free-listed slot arena and rides the heap as the reserved
-// kind kClosureKind, with `a` naming its slot; it is moved out of the
-// arena before it runs, so it may schedule (and grow the arena) freely.
+// One heap carries every event: a 4-ary (time, seq) heap
+// (cloudsim/time_seq_heap.h) of 32-byte (key, a, b, kind) nodes.  A POD
+// event's kind indexes a registered handler, called with the two 32-bit
+// words — the fast path for subsystems that schedule millions of events.  A
+// std::function closure moves into a free-listed slot arena and rides the
+// heap as the reserved kind kClosureKind, with `a` naming its slot; it is
+// moved out of the arena before it runs, so it may schedule (and grow the
+// arena) freely.  Registry copies of counters (processed(), and through
+// exit hooks the network's) are published when run()/run_until() returns.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "cloudsim/time_seq_heap.h"
 #include "obs/registry.h"
 
 namespace shuffledef::cloudsim {
@@ -74,47 +77,50 @@ class EventLoop {
   /// Guard against runaway simulations (default: 200M events).
   void set_event_budget(std::uint64_t budget) noexcept { budget_ = budget; }
 
-  /// Mirror dispatched-event counts onto kMetricLoopEventsDispatched
-  /// (nullptr detaches).  `processed()` stays authoritative.
+  /// Publish processed() onto kMetricLoopEventsDispatched at every return
+  /// from run()/run_until(), counting from attachment (nullptr detaches).
   void set_registry(obs::Registry* registry) {
     dispatched_ = registry == nullptr
                       ? obs::Counter{}
                       : registry->counter(kMetricLoopEventsDispatched);
+    published_ = processed_;
+  }
+
+  /// Call hook(ctx) on every return from run()/run_until() — normal,
+  /// event-budget exhaustion, or an escaping exception — after the loop
+  /// publishes its own count.  Hooks must not throw; the registrant must
+  /// outlive the loop's runs.
+  using ExitHook = void (*)(void* ctx);
+  void add_exit_hook(ExitHook hook, void* ctx) {
+    exit_hooks_.push_back({hook, ctx});
   }
 
  private:
   struct Event {
-    SimTime time;
-    std::uint64_t seq;  // schedule order: breaks equal-time ties
     std::uint32_t a;
     std::uint32_t b;
     std::uint16_t kind;
   };
-  /// "a fires before b" — strict (time, seq) order.
-  static bool before(const Event& a, const Event& b) noexcept {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  }
   struct PodKind {
     PodHandler handler = nullptr;
     void* ctx = nullptr;
   };
+  struct PublishOnReturn;  // runs publish() when run()/run_until() returns
 
-  void push(const Event& ev);
-  Event pop();
   /// Fire events with time <= t_end; false on event-budget exhaustion.
   bool drain(SimTime t_end);
   void validate_time(SimTime t) const;
+  void publish() noexcept;
 
-  // 4-ary min-heap by (time, seq): half the sift depth of a binary heap,
-  // and a 32-byte node moves in one cache-line step.
-  std::vector<Event> heap_;
+  detail::TimeSeqHeap<Event> heap_;  // by (time, schedule order)
   std::vector<std::function<void()>> closures_;  // slot arena
   std::vector<std::uint32_t> free_closures_;
   std::vector<PodKind> pod_kinds_;
+  std::vector<std::pair<ExitHook, void*>> exit_hooks_;
   SimTime now_ = 0.0;
   std::uint64_t seq_ = 0;
   std::uint64_t processed_ = 0;
+  std::uint64_t published_ = 0;  // processed_ as of the last publication
   std::uint64_t budget_ = 200'000'000;
   obs::Counter dispatched_;  // null handle when uninstrumented
 };

@@ -63,9 +63,12 @@ Network::Network(EventLoop& loop, NetworkConfig config)
         static_cast<Network*>(ctx)->walk_lane(lane, gen);
       },
       this);
+  loop_.add_exit_hook(
+      [](void* ctx) { static_cast<Network*>(ctx)->publish(); }, this);
 }
 
 void Network::set_registry(obs::Registry* registry) {
+  published_ = stats_;
   if (registry == nullptr) {
     metrics_ = {};
     return;
@@ -79,6 +82,23 @@ void Network::set_registry(obs::Registry* registry) {
   metrics_.duplicated = registry->counter(kMetricNetDuplicated);
   metrics_.bytes_delivered = registry->counter(kMetricNetBytesDelivered);
   metrics_.in_flight = registry->gauge(kMetricNetInFlight);
+}
+
+void Network::publish() noexcept {
+  const NetworkStats& s = stats_;
+  const NetworkStats& p = published_;
+  metrics_.sends.inc(s.sends - p.sends);
+  metrics_.delivered.inc(s.delivered - p.delivered);
+  metrics_.dropped_egress.inc(s.dropped_egress - p.dropped_egress);
+  metrics_.dropped_ingress.inc(s.dropped_ingress - p.dropped_ingress);
+  metrics_.dropped_detached.inc(s.dropped_detached - p.dropped_detached);
+  metrics_.dropped_faulted.inc(s.dropped_faulted - p.dropped_faulted);
+  metrics_.duplicated.inc(s.duplicated - p.duplicated);
+  metrics_.bytes_delivered.inc(
+      static_cast<std::uint64_t>(s.bytes_delivered - p.bytes_delivered));
+  metrics_.in_flight.add(static_cast<std::int64_t>(s.in_flight) -
+                         static_cast<std::int64_t>(p.in_flight));
+  published_ = stats_;
 }
 
 NodeId Network::attach(Node* node, NicConfig nic) {
@@ -141,17 +161,14 @@ void Network::resolve_at(double t, const Message& msg,
 
 bool Network::admit(Message& msg) {
   ++stats_.sends;
-  metrics_.sends.inc();
   Port& src = port_at(msg.src);
   if (!src.attached) {
     ++stats_.dropped_detached;
-    metrics_.dropped_detached.inc();
     resolve(msg, NetTraceEvent::Outcome::kDroppedDetached);
     return false;
   }
   if (msg.dst < 0 || static_cast<std::size_t>(msg.dst) >= ports_.size()) {
     ++stats_.dropped_detached;  // address never existed (stale reference)
-    metrics_.dropped_detached.inc();
     resolve(msg, NetTraceEvent::Outcome::kDroppedDetached);
     return false;
   }
@@ -160,7 +177,6 @@ bool Network::admit(Message& msg) {
     switch (fault_->on_send(msg, is_priority_type(msg.type), loop_.now())) {
       case FaultAction::kDrop:
         ++stats_.dropped_faulted;
-        metrics_.dropped_faulted.inc();
         resolve(msg, NetTraceEvent::Outcome::kDroppedFaulted);
         return false;
       case FaultAction::kDuplicate: {
@@ -169,8 +185,6 @@ bool Network::admit(Message& msg) {
         // (no duplicate chains) and resolves like any other message.
         ++stats_.duplicated;
         ++stats_.in_flight;
-        metrics_.duplicated.inc();
-        metrics_.in_flight.add(1);
         resolve(msg, NetTraceEvent::Outcome::kDuplicated);
         const std::uint32_t slot = acquire(Message(msg));
         loop_.schedule_after(fault_->config().dup_extra_delay_s,
@@ -183,7 +197,6 @@ bool Network::admit(Message& msg) {
   }
 
   ++stats_.in_flight;
-  metrics_.in_flight.add(1);
   return true;
 }
 
@@ -225,8 +238,6 @@ double Network::egress_admit(Message& msg) {
     // A duplicated copy can outlive its sender's NIC.
     --stats_.in_flight;
     ++stats_.dropped_detached;
-    metrics_.in_flight.add(-1);
-    metrics_.dropped_detached.inc();
     resolve(msg, NetTraceEvent::Outcome::kDroppedDetached);
     return -1.0;
   }
@@ -241,8 +252,6 @@ double Network::egress_admit(Message& msg) {
   if (out_backlog > src.nic.max_queue_s) {
     --stats_.in_flight;
     ++stats_.dropped_egress;
-    metrics_.in_flight.add(-1);
-    metrics_.dropped_egress.inc();
     resolve(msg, NetTraceEvent::Outcome::kDroppedEgress);
     return -1.0;
   }
@@ -282,22 +291,19 @@ void Network::ingress_enqueue(std::uint32_t slot, double arr) {
                     (is_priority_type(msg.type) ? 1 : 0);
   if (lane >= ingress_.size()) ingress_.resize(ports_.size() * 2);
   IngressQueue& q = ingress_[lane];
-  q.pending.push_back(Pending{arr, arrival_order_++, slot});
-  std::push_heap(q.pending.begin(), q.pending.end(), PendingLater{});
+  q.pending.push(arr, arrival_order_++, slot);
   arm_lane(static_cast<std::uint32_t>(lane));
 }
 
-void Network::finalize_arrival(std::uint32_t lane, const Pending& p,
-                               double now) {
-  Message& msg = slots_[static_cast<std::size_t>(p.slot)];
+void Network::finalize_arrival(std::uint32_t lane, double arr,
+                               std::uint32_t slot, double now) {
+  Message& msg = slots_[static_cast<std::size_t>(slot)];
   Port& d = ports_[static_cast<std::size_t>(msg.dst)];
   if (!d.attached) {
     --stats_.in_flight;
     ++stats_.dropped_detached;
-    metrics_.in_flight.add(-1);
-    metrics_.dropped_detached.inc();
-    resolve_at(p.arr, msg, NetTraceEvent::Outcome::kDroppedDetached);
-    release(p.slot);
+    resolve_at(arr, msg, NetTraceEvent::Outcome::kDroppedDetached);
+    release(slot);
     return;
   }
   const bool priority = (lane & 1u) != 0;
@@ -305,25 +311,23 @@ void Network::finalize_arrival(std::uint32_t lane, const Pending& p,
   const double in_bps = priority
                             ? d.nic.ingress_bps * d.nic.control_share
                             : d.nic.ingress_bps * (1.0 - d.nic.control_share);
-  const double in_backlog = std::max(0.0, in_lane.busy_until - p.arr);
+  const double in_backlog = std::max(0.0, in_lane.busy_until - arr);
   if (in_backlog > d.nic.max_queue_s) {
     --stats_.in_flight;
     ++stats_.dropped_ingress;
-    metrics_.in_flight.add(-1);
-    metrics_.dropped_ingress.inc();
-    resolve_at(p.arr, msg, NetTraceEvent::Outcome::kDroppedIngress);
-    release(p.slot);
+    resolve_at(arr, msg, NetTraceEvent::Outcome::kDroppedIngress);
+    release(slot);
     return;
   }
   const double in_ser = static_cast<double>(msg.size_bytes) * 8.0 / in_bps;
-  const double done = std::max(p.arr, in_lane.busy_until) + in_ser;
+  const double done = std::max(arr, in_lane.busy_until) + in_ser;
   in_lane.busy_until = done;
   if (done <= now) {
     // The armed prediction held exactly: finalize and deliver in one pop.
-    deliver(p.slot);
+    deliver(slot);
   } else {
     ingress_[static_cast<std::size_t>(lane)].ready.push_back(
-        Ready{done, p.slot});
+        Ready{done, slot});
   }
 }
 
@@ -349,11 +353,9 @@ void Network::walk_lane(std::uint32_t lane, std::uint32_t gen) {
   // Seal matured arrivals in (arr, order) sequence.
   for (;;) {
     IngressQueue& q = ingress_[static_cast<std::size_t>(lane)];
-    if (q.pending.empty() || q.pending.front().arr > now) break;
-    std::pop_heap(q.pending.begin(), q.pending.end(), PendingLater{});
-    const Pending p = q.pending.back();
-    q.pending.pop_back();
-    finalize_arrival(lane, p, now);  // may deliver inline (done == now)
+    if (q.pending.empty() || q.pending.top().time() > now) break;
+    const auto p = q.pending.pop();
+    finalize_arrival(lane, p.time(), p.value, now);  // may deliver inline
   }
   IngressQueue& q = ingress_[static_cast<std::size_t>(lane)];
   if (q.ready_head >= q.ready.size()) {
@@ -376,8 +378,8 @@ void Network::arm_lane(std::uint32_t lane) {
     // times are the lane's busy chain).
     next = q.ready[q.ready_head].done;
   } else if (!q.pending.empty()) {
-    const Pending& head = q.pending.front();
-    const Message& msg = slots_[static_cast<std::size_t>(head.slot)];
+    const auto& head = q.pending.top();
+    const Message& msg = slots_[static_cast<std::size_t>(head.value)];
     const Port& d = ports_[static_cast<std::size_t>(msg.dst)];
     const bool priority = (lane & 1u) != 0;
     const double in_bps =
@@ -385,7 +387,7 @@ void Network::arm_lane(std::uint32_t lane) {
                  : d.nic.ingress_bps * (1.0 - d.nic.control_share);
     const double busy =
         (priority ? d.ingress_ctrl : d.ingress_data).busy_until;
-    next = std::max(head.arr, busy) +
+    next = std::max(head.time(), busy) +
            static_cast<double>(msg.size_bytes) * 8.0 / in_bps;
   }
   if (next < 0.0) {
@@ -409,17 +411,13 @@ void Network::deliver(std::uint32_t slot) {
   release(slot);
   Port& d = ports_[static_cast<std::size_t>(msg.dst)];
   --stats_.in_flight;
-  metrics_.in_flight.add(-1);
   if (!d.attached) {
     ++stats_.dropped_detached;
-    metrics_.dropped_detached.inc();
     resolve(msg, NetTraceEvent::Outcome::kDroppedDetached);
     return;
   }
   ++stats_.delivered;
   stats_.bytes_delivered += msg.size_bytes;
-  metrics_.delivered.inc();
-  metrics_.bytes_delivered.inc(static_cast<std::uint64_t>(msg.size_bytes));
   resolve(msg, NetTraceEvent::Outcome::kDelivered);
   d.node->on_message(msg);
 }

@@ -38,7 +38,7 @@
 
 namespace shuffledef::cloudsim {
 
-// Registry metric names mirroring NetworkStats (same semantics, same
+// Registry metric names of the NetworkStats fields (same semantics, same
 // conservation invariant; see ARCHITECTURE.md "Observability").
 inline constexpr std::string_view kMetricNetSends = "net.sends";
 inline constexpr std::string_view kMetricNetDelivered = "net.delivered";
@@ -135,6 +135,9 @@ struct BatchItem {
 class Network {
  public:
   Network(EventLoop& loop, NetworkConfig config);
+  // The loop holds `this` (walker handler, exit hook).
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   /// Attach a node; returns its address.  The node must outlive the network
   /// or be detached first.
@@ -166,10 +169,10 @@ class Network {
     fault_ = injector;
   }
 
-  /// Mirror every NetworkStats field onto registry metrics (kMetricNet*).
-  /// The struct stays authoritative — `stats().conserved()` holds exactly as
-  /// before — and the registry copies obey the same conservation law.
-  /// Call before traffic starts; nullptr detaches.
+  /// Publish every NetworkStats field onto registry metrics (kMetricNet*)
+  /// whenever the loop's run()/run_until() returns, counting from
+  /// attachment: each metric gets add(delta), so worlds sharing a registry
+  /// sum.  The struct stays authoritative; nullptr detaches.
   void set_registry(obs::Registry* registry);
 
   /// Record every resolved message into an event trace (off by default —
@@ -196,18 +199,6 @@ class Network {
     bool attached = false;
     Lane egress_data, egress_ctrl, ingress_data, ingress_ctrl;
   };
-  /// One not-yet-finalized arrival waiting in an ingress lane's heap.
-  struct Pending {
-    double arr = 0.0;         // instant the message reaches the receiver NIC
-    std::uint64_t order = 0;  // admission order: equal-arr ties keep send order
-    std::uint32_t slot = 0;
-  };
-  struct PendingLater {
-    bool operator()(const Pending& a, const Pending& b) const noexcept {
-      if (a.arr != b.arr) return a.arr > b.arr;
-      return a.order > b.order;
-    }
-  };
   /// A finalized arrival awaiting its delivery instant.  Per lane, done
   /// times are strictly increasing (busy-chain order), so a FIFO suffices.
   struct Ready {
@@ -215,7 +206,8 @@ class Network {
     std::uint32_t slot = 0;
   };
   struct IngressQueue {
-    std::vector<Pending> pending;  // min-heap by (arr, order)
+    // Unsealed arrival slots by (arrival, admission order).
+    detail::TimeSeqHeap<std::uint32_t> pending;
     std::vector<Ready> ready;      // FIFO; ready_head indexes the front
     std::uint32_t ready_head = 0;
     std::uint32_t gen = 0;   // invalidates superseded walker events
@@ -251,12 +243,15 @@ class Network {
   void ingress_enqueue(std::uint32_t slot, double arr);
   /// Seal the fate of one matured arrival with busy-as-of-arrival semantics:
   /// drop (detached / backlog) or commit a delivery instant.
-  void finalize_arrival(std::uint32_t lane, const Pending& p, double now);
+  void finalize_arrival(std::uint32_t lane, double arr, std::uint32_t slot,
+                        double now);
   /// Deliver matured ready messages, finalize matured arrivals, re-arm.
   /// Firings whose generation was superseded are no-ops.
   void walk_lane(std::uint32_t lane, std::uint32_t gen);
   /// Schedule the lane's next walker event if none fires early enough.
   void arm_lane(std::uint32_t lane);
+  /// Add the stats' growth since the last publication to the registry.
+  void publish() noexcept;
 
   EventLoop& loop_;
   NetworkConfig config_;
@@ -270,7 +265,8 @@ class Network {
   std::vector<Message> slots_;  // arena: in-flight messages
   std::vector<std::uint32_t> free_slots_;
   std::vector<IngressQueue> ingress_;  // indexed 2 * port + priority
-  // Null handles when no registry is set (all mirror ops no-op).
+  NetworkStats published_;  // stats_ as of the last publication
+  // Null handles when no registry is set (publication no-ops).
   struct {
     obs::Counter sends, delivered, dropped_egress, dropped_ingress,
         dropped_detached, dropped_faulted, duplicated, bytes_delivered;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -12,9 +14,8 @@ ReplicaServer::ReplicaServer(World& world, std::string name,
                              ReplicaConfig config, NodeId coordinator)
     : Node(world, std::move(name)), config_(config), coordinator_(coordinator) {
   // Shuffle assignments land thousands of clients per replica; pre-sizing
-  // the per-client tables keeps rehashing off the request hot path.
-  whitelist_.reserve(1024);
-  websockets_.reserve(1024);
+  // the whitelist (1,024 clients) keeps rehashing off the request hot path.
+  whitelist_.assign(2048, {kInvalidIp, kInvalidNode});
   if (config_.registry != nullptr) {
     latency_ewma_us_ = config_.registry->gauge(kMetricReplicaLatencyEwmaUs);
     queue_depth_peak_us_ =
@@ -120,18 +121,17 @@ void ReplicaServer::on_message(const Message& msg) {
   switch (msg.type) {
     case MessageType::kWhitelistAdd: {
       const auto& add = payload_as<WhitelistAddPayload>(msg);
-      whitelist_[add.client_ip] = add.client_node;
+      whitelist(add.client_ip, add.client_node);
       break;
     }
     case MessageType::kWhitelistBatch: {
       const auto& batch = payload_as<WhitelistBatchPayload>(msg);
-      whitelist_.reserve(whitelist_.size() + batch.entries.size());
-      for (const auto& [ip, node] : batch.entries) whitelist_[ip] = node;
+      for (const auto& [ip, node] : batch.entries) whitelist(ip, node);
       break;
     }
     case MessageType::kHttpGet: {
       const auto& get = payload_as<HttpGetPayload>(msg);
-      if (!whitelist_.contains(get.client_ip)) {
+      if (!whitelisted(get.client_ip)) {
         ++stats_.rejected_not_whitelisted;  // silently dropped (filtering)
         break;
       }
@@ -142,7 +142,7 @@ void ReplicaServer::on_message(const Message& msg) {
     }
     case MessageType::kHeavyRequest: {
       const auto& heavy = payload_as<HeavyRequestPayload>(msg);
-      if (!whitelist_.contains(heavy.client_ip)) {
+      if (!whitelisted(heavy.client_ip)) {
         ++stats_.rejected_not_whitelisted;
         break;
       }
@@ -153,11 +153,10 @@ void ReplicaServer::on_message(const Message& msg) {
     }
     case MessageType::kWsOpen: {
       const auto& open = payload_as<WsOpenPayload>(msg);
-      if (!whitelist_.contains(open.client_ip)) {
+      if (!whitelisted(open.client_ip)) {
         ++stats_.rejected_not_whitelisted;
         break;
       }
-      websockets_[open.client_ip] = msg.src;
       send(msg.src, MessageType::kWsOpenAck, kWsFrameBytes);
       break;
     }
@@ -226,11 +225,44 @@ void ReplicaServer::crash() {
   decommissioned_ = true;  // stops detection ticks and queued replies
 }
 
+std::size_t ReplicaServer::probe(IpId ip) const noexcept {
+  // Fibonacci hashing spreads strided runs of dense interned ids.
+  const std::size_t mask = whitelist_.size() - 1;
+  std::size_t i =
+      (static_cast<std::uint32_t>(ip) * 0x9E3779B97F4A7C15ull) >> 32;
+  while (whitelist_[i & mask].first != ip &&
+         whitelist_[i & mask].first != kInvalidIp) {
+    ++i;
+  }
+  return i & mask;
+}
+
+bool ReplicaServer::whitelisted(IpId ip) const noexcept {
+  return ip >= 0 && whitelist_[probe(ip)].first == ip;
+}
+
+void ReplicaServer::whitelist(IpId ip, NodeId node) {
+  if (ip < 0) throw std::invalid_argument("ReplicaServer: negative IpId");
+  if (2 * (whitelisted_ + 1) > whitelist_.size()) {
+    const auto old = std::exchange(
+        whitelist_, std::vector<std::pair<IpId, NodeId>>(
+                        2 * whitelist_.size(), {kInvalidIp, kInvalidNode}));
+    for (const auto& entry : old) {
+      if (entry.first != kInvalidIp) whitelist_[probe(entry.first)] = entry;
+    }
+  }
+  auto& slot = whitelist_[probe(ip)];
+  if (slot.first == kInvalidIp) ++whitelisted_;
+  slot = {ip, node};
+}
+
 std::vector<std::pair<IpId, NodeId>> ReplicaServer::connected_clients()
     const {
   std::vector<std::pair<IpId, NodeId>> out;
-  out.reserve(whitelist_.size());
-  for (const auto& [ip, node] : whitelist_) out.emplace_back(ip, node);
+  out.reserve(whitelisted_);
+  for (const auto& entry : whitelist_) {
+    if (entry.first != kInvalidIp) out.push_back(entry);
+  }
   std::sort(out.begin(), out.end());  // deterministic iteration for the sim
   return out;
 }

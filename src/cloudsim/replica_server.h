@@ -18,16 +18,16 @@
 // CPU backlog against thresholds and raises kAttackReport once per episode
 // (paper §II-B assumes detection from congestion / traffic surges).
 //
-// At scale: the whitelist and WebSocket tables are keyed by interned IpId
-// (no string hashing per request), queued replies capture 16 bytes (inside
-// std::function's small buffer), shuffle redirects go out as one message
-// batch, and building a large batch is sharded across util::ThreadPool
-// under the deterministic-chunk contract (`shard_threads`).
+// At scale: the whitelist is a flat open-addressing table keyed by interned
+// IpId (no string hashing, no allocation per client), queued replies capture
+// 16 bytes (inside std::function's small buffer), shuffle redirects go out
+// as one message batch, and building a large batch is sharded across
+// util::ThreadPool under the deterministic-chunk contract (`shard_threads`).
 #pragma once
 
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cloudsim/node.h"
@@ -125,11 +125,19 @@ class ReplicaServer final : public Node {
   /// captures {this, dst, bytes} — 16 bytes, no heap allocation.
   void serve(NodeId reply_to, double cpu_seconds, std::int32_t reply_bytes);
   [[nodiscard]] double world_now() const;
+  /// Whitelist (or re-point) `ip`; IpIds are non-negative.
+  void whitelist(IpId ip, NodeId node);
+  [[nodiscard]] bool whitelisted(IpId ip) const noexcept;
+  /// The slot holding `ip`, or the empty slot where it belongs.
+  [[nodiscard]] std::size_t probe(IpId ip) const noexcept;
 
   ReplicaConfig config_;
   NodeId coordinator_;
-  std::unordered_map<IpId, NodeId> whitelist_;  // ip -> client node
-  std::unordered_map<IpId, NodeId> websockets_;
+  // The whitelist, ip -> client node: open addressing with linear probing
+  // over a power-of-two slot array kept at most half full; kInvalidIp marks
+  // an empty slot.  Slot order never shows (connected_clients() sorts).
+  std::vector<std::pair<IpId, NodeId>> whitelist_;
+  std::size_t whitelisted_ = 0;
   double cpu_busy_until_ = 0.0;
   std::uint64_t junk_in_window_ = 0;
   bool attack_reported_ = false;

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
+
+#include "obs/registry.h"
+#include "util/random.h"
 
 namespace shuffledef::cloudsim {
 namespace {
@@ -184,6 +190,113 @@ TEST(EventLoop, BudgetCountsClosuresAndPodEvents) {
   EXPECT_TRUE(loop.run());
   EXPECT_EQ(loop.processed(), 20u);
   EXPECT_TRUE(loop.empty());
+}
+
+// Property: the (time, seq) heap fires events in exactly the order of a
+// stable sort by (time, schedule order), across POD and closure events,
+// many equal times, -0.0 against 0.0, neighbouring doubles and times beyond
+// 2^53 (where the key's time half is all that separates them), drained over
+// several run_until windows.
+TEST(EventLoop, FiresInStableSortOrderOfTimeThenScheduleOrder) {
+  const double big = std::ldexp(1.0, 53);
+  const std::vector<double> times = {
+      -0.0, 0.0, std::nextafter(0.0, 1.0), 0.5, std::nextafter(1.0, 0.0),
+      1.0, std::nextafter(1.0, 2.0), 2.5, big, std::nextafter(big, 0.0),
+      std::nextafter(big, 1e300), 3.0 * big, 1e300};
+  constexpr std::uint32_t kEvents = 10'000;
+  util::Rng rng(2024);
+  std::vector<double> at(kEvents);
+  for (auto& t : at) {
+    t = times[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(times.size()) - 1))];
+  }
+
+  EventLoop loop;
+  std::vector<std::uint32_t> fired;
+  std::vector<double> fired_at;
+  struct Ctx {
+    EventLoop* loop;
+    std::vector<std::uint32_t>* fired;
+    std::vector<double>* fired_at;
+  } ctx{&loop, &fired, &fired_at};
+  const auto kind = loop.register_pod_handler(
+      [](void* c, std::uint32_t a, std::uint32_t /*b*/) {
+        auto* x = static_cast<Ctx*>(c);
+        x->fired->push_back(a);
+        x->fired_at->push_back(x->loop->now());
+      },
+      &ctx);
+  for (std::uint32_t i = 0; i < kEvents; ++i) {
+    if (rng.bernoulli(0.5)) {
+      loop.schedule_pod_at(at[i], kind, i, 0);
+    } else {
+      loop.schedule_at(at[i], [&, i] {
+        fired.push_back(i);
+        fired_at.push_back(loop.now());
+      });
+    }
+  }
+  EXPECT_TRUE(loop.run_until(0.0));
+  EXPECT_TRUE(loop.run_until(1.0));
+  EXPECT_TRUE(loop.run_until(big));
+  EXPECT_TRUE(loop.run());
+  EXPECT_EQ(loop.processed(), kEvents);
+
+  std::vector<std::uint32_t> want(kEvents);
+  std::iota(want.begin(), want.end(), 0u);
+  std::stable_sort(want.begin(), want.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return at[a] < at[b];
+                   });
+  EXPECT_EQ(fired, want);
+  ASSERT_EQ(fired_at.size(), fired.size());
+  for (std::size_t k = 0; k < fired.size(); ++k) {
+    ASSERT_EQ(fired_at[k], at[fired[k]]) << "event " << fired[k];
+  }
+}
+
+TEST(EventLoop, PublishesOnEveryReturn) {
+  // The registry copy of processed() and every exit hook are refreshed on
+  // each return from run()/run_until(): normal, event-budget exhaustion,
+  // and an escaping exception.  Counting starts at attachment, even when
+  // the registry is attached by an event in the middle of a run.
+  obs::Registry registry;
+  EventLoop loop;
+  int hook_calls = 0;
+  loop.add_exit_hook([](void* n) { ++*static_cast<int*>(n); }, &hook_calls);
+  const auto published = [&] {
+    return registry.snapshot().counter(kMetricLoopEventsDispatched);
+  };
+  loop.schedule_at(0.5, [] {});
+  loop.schedule_at(0.6, [&] { loop.set_registry(&registry); });
+  loop.schedule_at(0.7, [] {});
+  EXPECT_TRUE(loop.run_until(1.0));
+  EXPECT_EQ(published(), 1u);  // only the event after attachment
+  EXPECT_EQ(hook_calls, 1);
+
+  for (int i = 0; i < 3; ++i) loop.schedule_at(2.0, [] {});
+  EXPECT_TRUE(loop.run_until(3.0));
+  EXPECT_EQ(published(), 4u);
+  EXPECT_EQ(hook_calls, 2);
+
+  std::function<void()> forever = [&] { loop.schedule_after(0.1, forever); };
+  loop.schedule_after(0.0, forever);
+  loop.set_event_budget(10);
+  EXPECT_FALSE(loop.run());
+  EXPECT_EQ(loop.processed(), 10u);
+  EXPECT_EQ(published(), 8u);  // the budget counts the two before attachment
+  EXPECT_EQ(hook_calls, 3);
+
+  EventLoop thrower;
+  thrower.set_registry(&registry);
+  thrower.add_exit_hook([](void* n) { ++*static_cast<int*>(n); },
+                        &hook_calls);
+  thrower.schedule_at(1.0, [] {});
+  thrower.schedule_at(2.0, [] { throw std::runtime_error("boom"); });
+  EXPECT_THROW(thrower.run_until(5.0), std::runtime_error);
+  EXPECT_EQ(thrower.processed(), 2u);
+  EXPECT_EQ(published(), 10u);  // one registry, two loops: the counts sum
+  EXPECT_EQ(hook_calls, 4);
 }
 
 }  // namespace

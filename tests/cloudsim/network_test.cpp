@@ -10,6 +10,7 @@
 
 #include "cloudsim/fault.h"
 #include "cloudsim/node.h"
+#include "obs/registry.h"
 #include "util/random.h"
 
 namespace shuffledef::cloudsim {
@@ -20,12 +21,13 @@ class SinkNode final : public Node {
  public:
   using Node::Node;
   void on_message(const Message& msg) override {
-    arrivals.push_back({loop().now(), msg.type, msg.size_bytes});
+    arrivals.push_back({loop().now(), msg.type, msg.size_bytes, msg.src});
   }
   struct Arrival {
     SimTime time;
     MessageType type;
     std::int64_t bytes;
+    NodeId src;
   };
   std::vector<Arrival> arrivals;
 };
@@ -175,6 +177,32 @@ TEST(Network, StatsCountDeliveries) {
 // Regression: a message destined for a detached node must count into
 // dropped_detached exactly once, no matter where along the path (send time,
 // in flight, at arrival) the detach happened.
+TEST(Network, RegistryCountsFromAttachment) {
+  // NetworkStats counts everything; the registry copies count from
+  // set_registry on, published when the loop's run returns.
+  World world;
+  auto* a = world.spawn<SinkNode>(fast_nic(), "a");
+  auto* b = world.spawn<SinkNode>(fast_nic(), "b");
+  const auto send = [&] {
+    world.network().send({a->id(), b->id(), MessageType::kHttpGet, 512, {}});
+  };
+  for (int i = 0; i < 3; ++i) send();
+  obs::Registry registry;
+  world.network().set_registry(&registry);
+  send();
+  send();
+  EXPECT_EQ(registry.snapshot().counter(kMetricNetSends), 0u);  // not yet
+  EXPECT_TRUE(world.loop().run());
+  const auto m = registry.snapshot();
+  const auto& stats = world.network().stats();
+  EXPECT_EQ(stats.sends, 5u);
+  EXPECT_EQ(m.counter(kMetricNetSends), 2u);
+  EXPECT_EQ(m.counter(kMetricNetDelivered), 5u);  // all delivered after
+  // The gauge, like every counter, holds the change since attachment.
+  EXPECT_EQ(m.gauge(kMetricNetInFlight), -3);
+  EXPECT_EQ(stats.in_flight, 0u);
+}
+
 TEST(Network, DetachedDropsAreCountedExactlyOnce) {
   World world;
   auto* a = world.spawn<SinkNode>(fast_nic(0.05), "a");
@@ -332,30 +360,102 @@ TEST(NetworkProperty, ConservationHoldsUnderFuzzedTrafficAndFaults) {
   }
 }
 
-// Property: the lane walkers seal exactly the fates an eager per-message
-// evaluation computes.  Open-loop traffic (sinks never reply) over congested
-// NICs is replayed through the model directly: egress at send time, then
-// each ingress lane in (arrival, send order) against its busy horizon as of
-// the arrival instant.
-TEST(NetworkProperty, WalkerMatchesEagerOpenLoopModel) {
-  struct Send {
-    double t;
-    std::size_t src, dst;
-    bool ctrl;
-    std::int64_t bytes;
-  };
+/// One open-loop send replayed through the eager model below.
+struct EagerSend {
+  double t;
+  std::size_t src, dst;
+  bool ctrl;
+  std::int64_t bytes;
+};
+
+/// The eager per-message model the lane walkers must reproduce: egress at
+/// send time (equal send times in vector order), then each ingress lane in
+/// (arrival, send order) against its busy horizon as of the arrival instant.
+struct EagerOutcome {
+  /// Per node, in sealing order: (delivery instant, index into the sends).
+  std::vector<std::vector<std::pair<double, std::size_t>>> deliveries;
+  std::uint64_t dropped_egress = 0;
+  std::uint64_t dropped_ingress = 0;
+};
+
+EagerOutcome eager_model(const std::vector<NicConfig>& nics,
+                         const std::vector<EagerSend>& sends) {
   struct Arrival {
     double at;
-    std::size_t order, dst;
-    bool ctrl;
-    std::int64_t bytes;
+    std::size_t order, send;
   };
-  using Delivery = std::pair<double, std::int64_t>;
-  constexpr std::size_t kNodes = 5;
   const NetworkConfig net;  // World's defaults
   const auto lane_bps = [](double bps, const NicConfig& nic, bool ctrl) {
     return ctrl ? bps * nic.control_share : bps * (1.0 - nic.control_share);
   };
+  std::vector<std::size_t> by_time(sends.size());
+  for (std::size_t i = 0; i < by_time.size(); ++i) by_time[i] = i;
+  std::stable_sort(by_time.begin(), by_time.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return sends[a].t < sends[b].t;
+                   });
+  // Busy horizons are indexed 2 * node + ctrl.
+  std::vector<double> egress_busy(2 * nics.size(), 0.0);
+  std::vector<double> ingress_busy(2 * nics.size(), 0.0);
+  std::vector<Arrival> arrivals;
+  EagerOutcome out;
+  out.deliveries.resize(nics.size());
+  for (const std::size_t i : by_time) {
+    const EagerSend& s = sends[i];
+    const NicConfig& src = nics[s.src];
+    const NicConfig& dst = nics[s.dst];
+    double& busy = egress_busy[2 * s.src + (s.ctrl ? 1 : 0)];
+    if (std::max(0.0, busy - s.t) > src.max_queue_s) {
+      ++out.dropped_egress;
+      continue;
+    }
+    busy = std::max(s.t, busy) + static_cast<double>(s.bytes) * 8.0 /
+                                     lane_bps(src.egress_bps, src, s.ctrl);
+    const double extra = src.domain == dst.domain ? net.intra_domain_extra_s
+                                                  : net.inter_domain_extra_s;
+    arrivals.push_back(
+        Arrival{busy + (src.base_latency_s + dst.base_latency_s + extra),
+                arrivals.size(), i});
+  }
+  std::sort(arrivals.begin(), arrivals.end(),
+            [](const Arrival& a, const Arrival& b) {
+              return std::tie(a.at, a.order) < std::tie(b.at, b.order);
+            });
+  for (const Arrival& a : arrivals) {
+    const EagerSend& s = sends[a.send];
+    const NicConfig& dst = nics[s.dst];
+    double& busy = ingress_busy[2 * s.dst + (s.ctrl ? 1 : 0)];
+    if (std::max(0.0, busy - a.at) > dst.max_queue_s) {
+      ++out.dropped_ingress;
+      continue;
+    }
+    busy = std::max(a.at, busy) + static_cast<double>(s.bytes) * 8.0 /
+                                      lane_bps(dst.ingress_bps, dst, s.ctrl);
+    out.deliveries[s.dst].emplace_back(busy, a.send);
+  }
+  return out;
+}
+
+/// Schedule every send at its time (equal times fire in vector order).
+void schedule_sends(World& world, const std::vector<SinkNode*>& nodes,
+                    const std::vector<EagerSend>& sends) {
+  for (const EagerSend& s : sends) {
+    world.loop().schedule_at(s.t, [&world, &nodes, s] {
+      world.network().send(
+          {nodes[s.src]->id(), nodes[s.dst]->id(),
+           s.ctrl ? MessageType::kWsPush : MessageType::kHttpResponse,
+           s.bytes,
+           {}});
+    });
+  }
+}
+
+// Property: the lane walkers seal exactly the fates an eager per-message
+// evaluation computes.  Open-loop traffic (sinks never reply) over congested
+// NICs is replayed through the model directly.
+TEST(NetworkProperty, WalkerMatchesEagerOpenLoopModel) {
+  using Delivery = std::pair<double, std::int64_t>;
+  constexpr std::size_t kNodes = 5;
   for (std::uint64_t seed : {3u, 14u, 15u, 92u}) {
     util::Rng rng(seed);
     World world;
@@ -371,9 +471,9 @@ TEST(NetworkProperty, WalkerMatchesEagerOpenLoopModel) {
       nodes.push_back(
           world.spawn<SinkNode>(nics.back(), "n" + std::to_string(i)));
     }
-    std::vector<Send> sends;
+    std::vector<EagerSend> sends;
     for (int i = 0; i < 400; ++i) {
-      Send s{};
+      EagerSend s{};
       s.t = rng.uniform();
       s.src = static_cast<std::size_t>(rng.uniform_int(0, kNodes - 1));
       s.dst = static_cast<std::size_t>(rng.uniform_int(0, kNodes - 1));
@@ -381,77 +481,83 @@ TEST(NetworkProperty, WalkerMatchesEagerOpenLoopModel) {
       s.bytes =
           s.ctrl ? rng.uniform_int(64, 1500) : rng.uniform_int(500, 40'000);
       sends.push_back(s);
-      world.loop().schedule_at(s.t, [&world, &nodes, s] {
-        world.network().send(
-            {nodes[s.src]->id(), nodes[s.dst]->id(),
-             s.ctrl ? MessageType::kWsPush : MessageType::kHttpResponse,
-             s.bytes,
-             {}});
-      });
     }
+    schedule_sends(world, nodes, sends);
     world.loop().run();
 
-    // The eager model.  Busy horizons are indexed 2 * node + ctrl.
-    std::vector<std::size_t> by_time(sends.size());
-    for (std::size_t i = 0; i < by_time.size(); ++i) by_time[i] = i;
-    std::stable_sort(by_time.begin(), by_time.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return sends[a].t < sends[b].t;
-                     });
-    std::vector<double> egress_busy(2 * kNodes, 0.0);
-    std::vector<double> ingress_busy(2 * kNodes, 0.0);
-    std::vector<Arrival> arrivals;
-    std::uint64_t dropped_egress = 0;
-    std::uint64_t dropped_ingress = 0;
-    for (const std::size_t i : by_time) {
-      const Send& s = sends[i];
-      const NicConfig& src = nics[s.src];
-      const NicConfig& dst = nics[s.dst];
-      double& busy = egress_busy[2 * s.src + (s.ctrl ? 1 : 0)];
-      if (std::max(0.0, busy - s.t) > src.max_queue_s) {
-        ++dropped_egress;
-        continue;
-      }
-      busy = std::max(s.t, busy) + static_cast<double>(s.bytes) * 8.0 /
-                                       lane_bps(src.egress_bps, src, s.ctrl);
-      const double extra = src.domain == dst.domain ? net.intra_domain_extra_s
-                                                    : net.inter_domain_extra_s;
-      arrivals.push_back(Arrival{
-          busy + (src.base_latency_s + dst.base_latency_s + extra),
-          arrivals.size(), s.dst, s.ctrl, s.bytes});
-    }
-    std::sort(arrivals.begin(), arrivals.end(),
-              [](const Arrival& a, const Arrival& b) {
-                return std::tie(a.at, a.order) < std::tie(b.at, b.order);
-              });
-    std::vector<std::vector<Delivery>> want(kNodes);
-    for (const Arrival& a : arrivals) {
-      const NicConfig& dst = nics[a.dst];
-      double& busy = ingress_busy[2 * a.dst + (a.ctrl ? 1 : 0)];
-      if (std::max(0.0, busy - a.at) > dst.max_queue_s) {
-        ++dropped_ingress;
-        continue;
-      }
-      busy = std::max(a.at, busy) + static_cast<double>(a.bytes) * 8.0 /
-                                        lane_bps(dst.ingress_bps, dst, a.ctrl);
-      want[a.dst].emplace_back(busy, a.bytes);
-    }
-
+    const EagerOutcome model = eager_model(nics, sends);
     const auto& stats = world.network().stats();
-    EXPECT_EQ(stats.dropped_egress, dropped_egress) << "seed " << seed;
-    EXPECT_EQ(stats.dropped_ingress, dropped_ingress) << "seed " << seed;
-    EXPECT_GT(dropped_egress, 0u) << "seed " << seed;
-    EXPECT_GT(dropped_ingress, 0u) << "seed " << seed;
+    EXPECT_EQ(stats.dropped_egress, model.dropped_egress) << "seed " << seed;
+    EXPECT_EQ(stats.dropped_ingress, model.dropped_ingress) << "seed " << seed;
+    EXPECT_GT(model.dropped_egress, 0u) << "seed " << seed;
+    EXPECT_GT(model.dropped_ingress, 0u) << "seed " << seed;
     for (std::size_t n = 0; n < kNodes; ++n) {
       std::vector<Delivery> got;
       for (const auto& ar : nodes[n]->arrivals) {
         got.emplace_back(ar.time, ar.bytes);
       }
+      std::vector<Delivery> want;
+      for (const auto& [t, send] : model.deliveries[n]) {
+        want.emplace_back(t, sends[send].bytes);
+      }
       std::sort(got.begin(), got.end());
-      std::sort(want[n].begin(), want[n].end());
-      EXPECT_EQ(got, want[n]) << "seed " << seed << " node " << n;
+      std::sort(want.begin(), want.end());
+      EXPECT_EQ(got, want) << "seed " << seed << " node " << n;
     }
   }
+}
+
+// Many senders whose messages reach one receiver lane at the same instant:
+// the lane's heap must seal them in send order (the admission-order half of
+// its key), so deliveries follow the send order exactly, with the eager
+// model's instants and tail drops.
+TEST(NetworkProperty, SameInstantArrivalsSealInSendOrder) {
+  constexpr std::size_t kSenders = 48;
+  World world;
+  std::vector<NicConfig> nics;
+  std::vector<SinkNode*> nodes;
+  // Node 0 receives through a slow ingress lane that tail-drops part of each
+  // burst; every sender is idle and identical, so a burst's messages leave
+  // at once and arrive at one instant.
+  nics.push_back(NicConfig{.egress_bps = 1e9, .ingress_bps = 4e6,
+                           .base_latency_s = 0.003, .max_queue_s = 0.05});
+  for (std::size_t i = 1; i <= kSenders; ++i) {
+    nics.push_back(NicConfig{.egress_bps = 1e8, .base_latency_s = 0.002});
+  }
+  for (std::size_t i = 0; i < nics.size(); ++i) {
+    nodes.push_back(world.spawn<SinkNode>(nics[i], "n" + std::to_string(i)));
+  }
+  util::Rng rng(7);
+  std::vector<EagerSend> sends;
+  for (const double t : {0.25, 0.26, 0.5}) {
+    std::vector<std::size_t> order(kSenders);
+    for (std::size_t i = 0; i < kSenders; ++i) order[i] = i + 1;
+    rng.shuffle(order);
+    for (const std::size_t src : order) {
+      sends.push_back(EagerSend{t, src, 0, false, 1200});
+    }
+  }
+  schedule_sends(world, nodes, sends);
+  world.loop().run();
+
+  const EagerOutcome model = eager_model(nics, sends);
+  const auto& stats = world.network().stats();
+  EXPECT_EQ(stats.dropped_egress, 0u);
+  EXPECT_EQ(stats.dropped_ingress, model.dropped_ingress);
+  EXPECT_GT(model.dropped_ingress, 0u);
+  std::vector<std::pair<double, NodeId>> got;
+  for (const auto& ar : nodes[0]->arrivals) got.emplace_back(ar.time, ar.src);
+  std::vector<std::pair<double, NodeId>> want;
+  for (const auto& [t, send] : model.deliveries[0]) {
+    want.emplace_back(t, nodes[sends[send].src]->id());
+  }
+  EXPECT_EQ(got, want);
+  // Not vacuous: a burst delivers several messages, and its send order is
+  // not the senders' id order.
+  ASSERT_GE(want.size(), 6u);
+  EXPECT_FALSE(std::is_sorted(
+      want.begin(), want.begin() + 6,
+      [](const auto& a, const auto& b) { return a.second < b.second; }));
 }
 
 TEST(NetworkFaults, TraceRecordsEveryResolution) {

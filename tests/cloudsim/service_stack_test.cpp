@@ -1,11 +1,16 @@
 // DNS + load balancer + replica behaviour through real message flows.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "cloudsim/client_agent.h"
 #include "cloudsim/dns_server.h"
 #include "cloudsim/load_balancer.h"
 #include "cloudsim/node.h"
 #include "cloudsim/replica_server.h"
+#include "util/random.h"
 
 namespace shuffledef::cloudsim {
 namespace {
@@ -95,6 +100,53 @@ TEST(ServiceStack, NonWhitelistedRequestsAreDropped) {
   s.world.loop().run_until(5.0);
   EXPECT_EQ(prober->responses, 0);
   EXPECT_GE(s.r1->stats().rejected_not_whitelisted, 1u);
+}
+
+TEST(ServiceStack, WhitelistTableMatchesAMapOracle) {
+  // The replica's open-addressing whitelist starts sized for 1,024 clients.
+  // Mixed single adds, batches and overwrites push it well past that (it
+  // must grow), and afterwards it must hold exactly what a std::map holds
+  // and admit exactly the IPs it holds.
+  Stack s;
+  util::Rng rng(77);
+  std::map<IpId, NodeId> oracle;
+  const auto deliver = [&](MessageType type, Payload payload) {
+    s.r1->on_message(Message{s.lb->id(), s.r1->id(), type,
+                             kControlMessageBytes, std::move(payload)});
+  };
+  constexpr IpId kIpSpace = 6000;
+  for (int op = 0; op < 400; ++op) {
+    if (rng.bernoulli(0.7)) {
+      // Single adds, often re-pointing an IP already listed.
+      const auto ip = static_cast<IpId>(rng.uniform_int(0, kIpSpace - 1));
+      const auto node = static_cast<NodeId>(rng.uniform_int(0, 999));
+      deliver(MessageType::kWhitelistAdd, WhitelistAddPayload{ip, node});
+      oracle[ip] = node;
+    } else {
+      // A coordinator batch: a strided run of IPs, like a shuffle's slice.
+      WhitelistBatchPayload batch;
+      const auto stride = static_cast<IpId>(rng.uniform_int(1, 8));
+      IpId ip = static_cast<IpId>(rng.uniform_int(0, kIpSpace - 1));
+      for (int k = 0; k < 40; ++k, ip = (ip + stride) % kIpSpace) {
+        const auto node = static_cast<NodeId>(rng.uniform_int(0, 999));
+        batch.entries.emplace_back(ip, node);
+        oracle[ip] = node;
+      }
+      deliver(MessageType::kWhitelistBatch, std::move(batch));
+    }
+  }
+  ASSERT_GT(oracle.size(), 2048u);  // past the pre-sized table, twice over
+  const std::vector<std::pair<IpId, NodeId>> want(oracle.begin(),
+                                                  oracle.end());
+  EXPECT_EQ(s.r1->connected_clients(), want);
+
+  for (IpId ip = 0; ip < kIpSpace; ++ip) {
+    deliver(MessageType::kHttpGet, HttpGetPayload{ip});
+  }
+  deliver(MessageType::kHttpGet, HttpGetPayload{kInvalidIp});
+  EXPECT_EQ(s.r1->stats().pages_served, oracle.size());
+  EXPECT_EQ(s.r1->stats().rejected_not_whitelisted,
+            static_cast<std::uint64_t>(kIpSpace) + 1 - oracle.size());
 }
 
 TEST(ServiceStack, LoadBalancerSkipsRecycledReplicas) {

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
+#include "../cloudsim/faulted_world.h"
 #include "cloudsim/coordination_server.h"
 #include "cloudsim/fault.h"
 #include "cloudsim/network.h"
@@ -223,6 +225,113 @@ TEST(Observability, ScenarioHonorsExternalRegistry) {
   ASSERT_TRUE(scenario.run_until(5.0));
   EXPECT_EQ(&scenario.registry(), &external);
   EXPECT_GT(external.snapshot().counter(cloudsim::kMetricNetSends), 0u);
+}
+
+// ---- registry publication contract -----------------------------------------
+//
+// NetworkStats and EventLoop::processed() are authoritative; their registry
+// copies are published on every return from run()/run_until().  So whenever
+// no run is in progress, each net.* metric equals its stats field and
+// loop.events_dispatched equals processed(), and worlds sharing one registry
+// sum.
+
+cloudsim::ScenarioConfig faulted_world(cloudsim::ClientEngine engine,
+                                       std::uint64_t seed) {
+  auto cfg = cloudsim::faulted_config();  // lossy, duplicating, one crash
+  cfg.client_engine = engine;
+  cfg.seed = seed;
+  cfg.record_net_trace = false;
+  return cfg;
+}
+
+cloudsim::NetworkStats operator+(cloudsim::NetworkStats a,
+                                 const cloudsim::NetworkStats& b) {
+  a.sends += b.sends;
+  a.delivered += b.delivered;
+  a.dropped_egress += b.dropped_egress;
+  a.dropped_ingress += b.dropped_ingress;
+  a.dropped_detached += b.dropped_detached;
+  a.dropped_faulted += b.dropped_faulted;
+  a.duplicated += b.duplicated;
+  a.in_flight += b.in_flight;
+  a.bytes_delivered += b.bytes_delivered;
+  return a;
+}
+
+void expect_published(const obs::MetricsSnapshot& m,
+                      const cloudsim::NetworkStats& net,
+                      std::uint64_t processed, const std::string& where) {
+  SCOPED_TRACE(where);
+  EXPECT_EQ(m.counter(cloudsim::kMetricNetSends), net.sends);
+  EXPECT_EQ(m.counter(cloudsim::kMetricNetDelivered), net.delivered);
+  EXPECT_EQ(m.counter(cloudsim::kMetricNetDroppedEgress), net.dropped_egress);
+  EXPECT_EQ(m.counter(cloudsim::kMetricNetDroppedIngress), net.dropped_ingress);
+  EXPECT_EQ(m.counter(cloudsim::kMetricNetDroppedDetached),
+            net.dropped_detached);
+  EXPECT_EQ(m.counter(cloudsim::kMetricNetDroppedFaulted), net.dropped_faulted);
+  EXPECT_EQ(m.counter(cloudsim::kMetricNetDuplicated), net.duplicated);
+  EXPECT_EQ(m.counter(cloudsim::kMetricNetBytesDelivered),
+            static_cast<std::uint64_t>(net.bytes_delivered));
+  EXPECT_EQ(m.gauge(cloudsim::kMetricNetInFlight),
+            static_cast<std::int64_t>(net.in_flight));
+  EXPECT_EQ(m.counter(cloudsim::kMetricLoopEventsDispatched), processed);
+}
+
+TEST(Observability, NetAndLoopMetricsArePublishedAtEveryRunReturn) {
+  for (const auto engine :
+       {cloudsim::ClientEngine::kFlat, cloudsim::ClientEngine::kPerObject}) {
+    cloudsim::Scenario s(faulted_world(engine, 42));
+    bool saw_in_flight = false;
+    for (double t = 1.0; t <= 10.0; t += 1.0) {
+      ASSERT_TRUE(s.run_until(t));
+      const auto& net = s.world().network().stats();
+      saw_in_flight = saw_in_flight || net.in_flight > 0;
+      expect_published(s.metrics(), net, s.world().loop().processed(),
+                       "engine " + std::to_string(static_cast<int>(engine)) +
+                           " t=" + std::to_string(t));
+    }
+    // Not vacuous: faults fired, and some window ended with traffic in
+    // flight, so a per-message gauge and a published one could differ.
+    const auto& net = s.world().network().stats();
+    EXPECT_GT(net.dropped_faulted, 0u);
+    EXPECT_GT(net.duplicated, 0u);
+    EXPECT_TRUE(saw_in_flight);
+    EXPECT_EQ(s.fault_stats().crashes_executed, 1u);
+  }
+}
+
+TEST(Observability, WorldsSharingARegistrySumTheirNetMetrics) {
+  obs::Registry shared;
+  auto flat = faulted_world(cloudsim::ClientEngine::kFlat, 7);
+  auto per_object = faulted_world(cloudsim::ClientEngine::kPerObject, 8);
+  flat.registry = &shared;
+  per_object.registry = &shared;
+  cloudsim::Scenario a(flat);
+  cloudsim::Scenario b(per_object);
+  bool saw_in_flight = false;
+  for (double t = 1.0; t <= 8.0; t += 1.0) {
+    ASSERT_TRUE(a.run_until(t));
+    ASSERT_TRUE(b.run_until(t + 0.5));
+    const auto sum = a.world().network().stats() + b.world().network().stats();
+    saw_in_flight = saw_in_flight || sum.in_flight > 0;
+    expect_published(
+        shared.snapshot(), sum,
+        a.world().loop().processed() + b.world().loop().processed(),
+        "t=" + std::to_string(t));
+  }
+  EXPECT_TRUE(saw_in_flight);
+}
+
+TEST(Observability, RunThatExhaustsTheEventBudgetStillPublishes) {
+  cloudsim::Scenario s(faulted_world(cloudsim::ClientEngine::kFlat, 42));
+  ASSERT_TRUE(s.run_until(2.0));
+  auto& loop = s.world().loop();
+  const std::uint64_t budget = loop.processed() + 777;
+  loop.set_event_budget(budget);
+  EXPECT_FALSE(s.run_until(10.0));
+  EXPECT_EQ(loop.processed(), budget);
+  expect_published(s.metrics(), s.world().network().stats(), budget,
+                   "after budget exhaustion");
 }
 
 TEST(Observability, SimulatorHonorsExternalRegistry) {
