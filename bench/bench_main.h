@@ -32,23 +32,31 @@ inline int guarded_main(int argc, char** argv, int (*body)(int, char**)) {
 }
 
 /// Throws std::invalid_argument unless the integer flag --`name` is at
-/// least 1.
-inline void require_at_least_one(std::string_view name, std::int64_t value) {
-  if (value < 1) {
-    throw std::invalid_argument("--" + std::string(name) +
-                                " must be >= 1 (got " + std::to_string(value) +
+/// least `floor`; `floor_flag` names the flag the floor comes from, if any.
+inline void require_at_least(std::string_view name, std::int64_t value,
+                             std::int64_t floor,
+                             std::string_view floor_flag = {}) {
+  if (value < floor) {
+    const std::string bound =
+        floor_flag.empty()
+            ? std::to_string(floor)
+            : "--" + std::string(floor_flag) + " = " + std::to_string(floor);
+    throw std::invalid_argument("--" + std::string(name) + " must be >= " +
+                                bound + " (got " + std::to_string(value) +
                                 ")");
   }
 }
 
 /// Throws std::invalid_argument unless the integer flag --`name` is at
+/// least 1.
+inline void require_at_least_one(std::string_view name, std::int64_t value) {
+  require_at_least(name, value, 1);
+}
+
+/// Throws std::invalid_argument unless the integer flag --`name` is at
 /// least 0.
 inline void require_at_least_zero(std::string_view name, std::int64_t value) {
-  if (value < 0) {
-    throw std::invalid_argument("--" + std::string(name) +
-                                " must be >= 0 (got " + std::to_string(value) +
-                                ")");
-  }
+  require_at_least(name, value, 0);
 }
 
 /// Throws std::invalid_argument unless the flag --`name` is finite and > 0.

@@ -4,7 +4,10 @@
 #         -DCLIENTSIM=<abl_client_scale binary>
 #         -DQOS_FEEDBACK=<abl_qos_feedback binary>
 #         -DQOS_RESTORATION=<abl_qos_restoration binary>
-#         -DFIG12=<fig12_migration_latency binary> -P expect_bad_config.cmake
+#         -DFIG12=<fig12_migration_latency binary>
+#         -DFIG07=<fig07_mle_accuracy binary>
+#         -DMLE_SENSITIVITY=<abl_mle_sensitivity binary>
+#         -P expect_bad_config.cmake
 
 function(expect_exit_2 expected_stderr)
   execute_process(COMMAND ${ARGN} RESULT_VARIABLE code OUTPUT_QUIET
@@ -33,3 +36,8 @@ expect_exit_2("abl_qos_restoration: --window must be finite and > 0 (got 0"
               ${QOS_RESTORATION} --window 0)
 expect_exit_2("fig12_migration_latency: --flood-pps must be finite and >= 0"
               ${FIG12} --flood-pps -1)
+expect_exit_2(
+  "fig07_mle_accuracy: --clients must be >= --replicas = 100 (got 50)"
+  ${FIG07} --clients 50 --replicas 100)
+expect_exit_2("abl_mle_sensitivity: --replicas must be >= 2 (got 1)"
+              ${MLE_SENSITIVITY} --replicas 1)

@@ -34,6 +34,9 @@ int run_bench(int argc, char** argv) {
   metrics_export.add_flags(flags);
   flags.parse(argc, argv);
   bench::require_reps(reps);
+  // Every replica must hold a client, or no bot placement exists.
+  bench::require_at_least_one("replicas", replicas);
+  bench::require_at_least("clients", clients, replicas, "replicas");
 
   const Count per_replica = clients / replicas;
   const core::AssignmentPlan plan(std::vector<Count>(

@@ -145,11 +145,28 @@ BENCHMARK(BM_MleEstimate)
 
 void BM_HypergeometricSample(benchmark::State& state) {
   util::Rng rng(2);
+  const Count draws = state.range(0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rng.hypergeometric(150000, 100000, 150));
+    benchmark::DoNotOptimize(rng.hypergeometric(150000, 100000, draws));
   }
 }
-BENCHMARK(BM_HypergeometricSample);
+BENCHMARK(BM_HypergeometricSample)
+    ->Arg(150)  // a 150-client bucket: the walk
+    ->Arg(1);   // a one-client bucket: the certified ratio decision
+
+void BM_PlacementFig8Shape(benchmark::State& state) {
+  // One Fig-8 placement: 100K bots over the greedy plan for 150K clients on
+  // 1000 replicas (999 one-client buckets and a dump bucket).
+  const auto plan = core::GreedyPlanner().plan({150000, 100000, 1000});
+  util::Rng rng(4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        rng.multivariate_hypergeometric(plan.counts(), 100000));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(plan.counts().size()));
+}
+BENCHMARK(BM_PlacementFig8Shape);
 
 void BM_ShuffleRound(benchmark::State& state) {
   // One full simulated shuffle round at Figure-8 scale.

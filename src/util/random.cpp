@@ -105,11 +105,10 @@ std::int64_t Rng::hypergeometric(std::int64_t total, std::int64_t successes,
   return hypergeometric_unchecked(total, successes, draws);
 }
 
-std::int64_t Rng::hypergeometric_unchecked(std::int64_t total,
-                                           std::int64_t successes,
-                                           std::int64_t draws) {
+std::int64_t detail::hypergeometric_walk(std::int64_t total,
+                                         std::int64_t successes,
+                                         std::int64_t draws, double u) {
   const auto support = hypergeometric_support(total, successes, draws);
-  if (support.lo == support.hi) return support.lo;
 
   // Inverse transform anchored at the mode: walk outwards accumulating pmf
   // mass until the uniform variate is covered.  The pmf around the mode is
@@ -121,7 +120,6 @@ std::int64_t Rng::hypergeometric_unchecked(std::int64_t total,
                  (static_cast<double>(total) + 2.0)));
   const std::int64_t anchor = std::clamp(mode, support.lo, support.hi);
 
-  const double u = uniform();
   const double p_anchor =
       hypergeometric_pmf_in_support(total, successes, draws, anchor);
 

@@ -33,6 +33,9 @@
 #include <utility>
 #include <vector>
 
+#include "util/hypergeometric_detail.h"
+#include "util/math.h"
+
 namespace shuffledef::util {
 
 /// splitmix64: used to stretch user seeds into well-distributed state.
@@ -210,10 +213,20 @@ class Rng {
     return static_cast<std::uint64_t>(product >> 64);
   }
 
-  /// Hypergeometric draw for parameters the caller has already validated.
+  /// Hypergeometric draw for validated parameters: one variate past the
+  /// degenerate check, then the certified one-item decision or the walk.
   std::int64_t hypergeometric_unchecked(std::int64_t total,
                                         std::int64_t successes,
-                                        std::int64_t draws);
+                                        std::int64_t draws) {
+    const auto support = hypergeometric_support(total, successes, draws);
+    if (support.lo == support.hi) return support.lo;
+    const double u = uniform();
+    if (draws == 1 && total < LogFactorialTable::kCapacity) {
+      const std::int64_t k = detail::one_item_decision(total, successes, u);
+      if (k != detail::kUndecided) return k;
+    }
+    return detail::hypergeometric_walk(total, successes, draws, u);
+  }
 
   [[noreturn]] static void throw_empty_range();
 
