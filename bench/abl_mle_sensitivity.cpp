@@ -32,10 +32,11 @@ int run_bench(int argc, char** argv) {
   metrics_export.add_flags(flags);
   flags.parse(argc, argv);
   bench::require_reps(reps);
-  // With no benign clients nothing can be saved, with one replica nothing
-  // can be separated, and zero replicas selects adaptive provisioning.
+  // With no benign clients nothing can be saved, with no bots there is no
+  // M to mis-estimate, with one replica nothing can be separated, and zero
+  // replicas selects adaptive provisioning.
   bench::require_at_least_one("benign", benign);
-  bench::require_at_least_zero("bots", bots);
+  bench::require_at_least_one("bots", bots);
   bench::require_at_least("replicas", replicas, 2);
 
   util::Table table("MLE sensitivity — shuffles to save 80% / 95% of " +

@@ -7,6 +7,8 @@
 #         -DFIG12=<fig12_migration_latency binary>
 #         -DFIG07=<fig07_mle_accuracy binary>
 #         -DMLE_SENSITIVITY=<abl_mle_sensitivity binary>
+#         -DFIG05=<fig05_dp_runtime binary>
+#         -DMICRO=<micro_algorithms binary>
 #         -P expect_bad_config.cmake
 
 function(expect_exit_2 expected_stderr)
@@ -39,5 +41,16 @@ expect_exit_2("fig12_migration_latency: --flood-pps must be finite and >= 0"
 expect_exit_2(
   "fig07_mle_accuracy: --clients must be >= --replicas = 100 (got 50)"
   ${FIG07} --clients 50 --replicas 100)
+expect_exit_2(
+  "fig07_mle_accuracy: --clients must be a multiple of --replicas = 100 (got 1099)"
+  ${FIG07} --clients 1099 --replicas 100)
+expect_exit_2("fig07_mle_accuracy: --clients must be >= 350 (got 200)"
+              ${FIG07} --clients 200)
 expect_exit_2("abl_mle_sensitivity: --replicas must be >= 2 (got 1)"
               ${MLE_SENSITIVITY} --replicas 1)
+expect_exit_2("abl_mle_sensitivity: --bots must be >= 1 (got 0)"
+              ${MLE_SENSITIVITY} --bots 0 --reps 2)
+expect_exit_2("fig05_dp_runtime: --scaled-clients must be >= 20 (got 0)"
+              ${FIG05} --scaled-clients 0)
+expect_exit_2("micro_algorithms: --bench-json <path> takes no other flags"
+              ${MICRO} --bench-json unused.json --max-warm-ms 2000)

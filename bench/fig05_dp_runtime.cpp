@@ -13,8 +13,11 @@
 //
 // Shape to reproduce: runtimes in the 10^7..10^8 ms range at paper scale,
 // growing with both M and P.
+#include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <limits>
+#include <string>
 #include <utility>
 
 #include "bench_main.h"
@@ -32,6 +35,16 @@ using core::Count;
 
 namespace {
 
+/// "10^a..10^b": the powers of ten bracketing [lo, hi], or "(no time
+/// measured)" unless 0 < lo <= hi < inf.
+std::string decade_range(double lo, double hi) {
+  if (!(lo > 0.0 && lo <= hi && std::isfinite(hi))) {
+    return "(no time measured)";
+  }
+  return "10^" + std::to_string(static_cast<int>(std::floor(std::log10(lo)))) +
+         "..10^" + std::to_string(static_cast<int>(std::ceil(std::log10(hi))));
+}
+
 int run_bench(int argc, char** argv) {
   util::Flags flags("fig05_dp_runtime",
                     "Figure 5: running time of the DP algorithm");
@@ -48,11 +61,6 @@ int run_bench(int argc, char** argv) {
   auto& tail_flag = flags.add_double(
       "tail-epsilon", 1e-12,
       "tail truncation for the serial-vs-parallel sweep");
-  auto& warm_rounds_flag = flags.add_int(
-      "warm-rounds", 3,
-      "rounds of the warm-start re-planning trajectory (0 = skip): after a "
-      "cold Algorithm-1 solve, each round drifts N and re-plans against the "
-      "retained DP tables");
   // Timing bench: parallel cells contend for cores and inflate each other's
   // measured ms, so the grid defaults to serial; --jobs > 1 trades timing
   // fidelity for wall-clock when only the extrapolation shape matters.
@@ -60,6 +68,9 @@ int run_bench(int argc, char** argv) {
   bench::MetricsExport metrics_export;
   metrics_export.add_flags(flags);
   flags.parse(argc, argv);
+  // Below 20 clients the smallest ratio (P/N = M/N = 0.05) rounds to zero
+  // and the measured grid is empty.
+  bench::require_at_least("scaled-clients", scaled_n, 20);
 
   const Count n = scaled_n;
 
@@ -99,6 +110,8 @@ int run_bench(int argc, char** argv) {
     return timer.elapsed_ms();
   });
   sweep_metrics.merge(sweep.metrics);
+  double extrapolated_lo = std::numeric_limits<double>::infinity();
+  double extrapolated_hi = 0.0;
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const auto [pr, mr] = grid[i];
     const auto p = static_cast<Count>(pr * static_cast<double>(n));
@@ -108,6 +121,8 @@ int run_bench(int argc, char** argv) {
     // empirically the total scales ~ N^2 * M * P at fixed ratios, i.e.
     // (1000/n)^4 at fixed (M/N, P/N).
     const double scale = std::pow(1000.0 / static_cast<double>(n), 4.0);
+    extrapolated_lo = std::min(extrapolated_lo, ms * scale);
+    extrapolated_hi = std::max(extrapolated_hi, ms * scale);
     table.add_row({util::fmt(p), util::fmt(m), util::fmt(ms, 1),
                    util::fmt(ms * scale, 0),
                    "P=" + std::to_string(static_cast<Count>(pr * 1000)) +
@@ -173,47 +188,6 @@ int run_bench(int argc, char** argv) {
     t3.print_with_csv();
   }
 
-  // Warm-start re-planning trajectory: the online loop this PR's solver
-  // rewrite targets.  One cold solve retains the full DP layer stack; each
-  // subsequent round drifts N (clients joining) and re-plans, which only
-  // extends the new table cells.  Values are checked bit-identical against
-  // a cold planner every round.
-  if (warm_rounds_flag > 0) {
-    const Count pn = std::max<Count>(parallel_n, 20);
-    const auto p = std::max<Count>(2, pn / 50);
-    const auto m = std::max<Count>(1, pn / 20);
-    core::AlgorithmOneOptions warm_opts;
-    warm_opts.threads = 1;
-    warm_opts.tail_epsilon = tail_flag;
-    core::AlgorithmOnePlanner warm(warm_opts);
-    core::AlgorithmOneOptions cold_opts = warm_opts;
-    cold_opts.warm_start = false;
-    core::AlgorithmOnePlanner cold(cold_opts);
-
-    util::Table t5("Figure 5 (engineering) — Algorithm 1 warm-start "
-                   "re-planning over " + std::to_string(warm_rounds_flag) +
-                   " drifted rounds at N ~ " + std::to_string(pn));
-    t5.set_headers({"round", "clients", "warm ms", "cold ms", "speedup",
-                    "bit-identical"});
-    Count n_round = pn;
-    for (int round = 0; round <= warm_rounds_flag; ++round) {
-      util::Timer warm_timer;
-      const double v_warm = warm.value({n_round, m, p});
-      const double warm_ms = warm_timer.elapsed_ms();
-      util::Timer cold_timer;
-      const double v_cold = cold.value({n_round, m, p});
-      const double cold_ms = cold_timer.elapsed_ms();
-      t5.add_row({round == 0 ? std::string("cold")
-                              : util::fmt(static_cast<Count>(round)),
-                  util::fmt(n_round),
-                  util::fmt(warm_ms, 1), util::fmt(cold_ms, 1),
-                  util::fmt(cold_ms / std::max(warm_ms, 1e-9), 2),
-                  v_warm == v_cold ? "yes" : "NO (BUG)"});
-      n_round += std::max<Count>(1, pn / 100);
-    }
-    t5.print_with_csv();
-  }
-
   // Planner-result cache: a steady-state shuffle loop re-solves a handful
   // of recurring (N, M, P) problems; the LRU turns repeats into lookups.
   {
@@ -245,11 +219,13 @@ int run_bench(int argc, char** argv) {
   metrics_export.write_if_requested([&] { return sweep_metrics; });
   std::cout << "Reproduction check: Algorithm-1 runtimes grow with M and P "
                "and scale ~N^4 at fixed ratios, putting the N=1000 grid in "
-               "the 10^5..10^6 ms range for this compiled implementation — "
-               "the same 'tens of hours vs milliseconds' verdict as the "
-               "paper's Figure 5/6 contrast once the ~10^3x Matlab-to-C++ "
-               "constant is accounted for.  The separable DP answers the "
-               "same question in milliseconds outright." << std::endl;
+               "the "
+            << decade_range(extrapolated_lo, extrapolated_hi)
+            << " ms range for this compiled implementation — the same "
+               "'tens of hours vs milliseconds' verdict as the paper's "
+               "Figure 5/6 contrast once the ~10^3x Matlab-to-C++ constant "
+               "is accounted for.  The separable DP answers the same "
+               "question in milliseconds outright." << std::endl;
   return 0;
 }
 

@@ -9,7 +9,10 @@
 // every replica is attacked, at which point it blows up towards N (the
 // degenerate all-attacked regime Theorem 1 exists to avoid).
 #include <iostream>
+#include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "bench_main.h"
 #include "core/mle_estimator.h"
@@ -33,18 +36,26 @@ int run_bench(int argc, char** argv) {
   bench::MetricsExport metrics_export;
   metrics_export.add_flags(flags);
   flags.parse(argc, argv);
+  const std::vector<Count> true_bots = {10,  20,  50,  80,  100,
+                                        150, 200, 250, 300, 350};
   bench::require_reps(reps);
   // Every replica must hold a client, or no bot placement exists.
   bench::require_at_least_one("replicas", replicas);
   bench::require_at_least("clients", clients, replicas, "replicas");
+  // Every true bot count must fit among the clients.
+  bench::require_at_least("clients", clients, true_bots.back());
+  // Every replica gets clients / replicas, so a remainder would go
+  // unsimulated while the title still names --clients.
+  if (clients % replicas != 0) {
+    throw std::invalid_argument(
+        "--clients must be a multiple of --replicas = " +
+        std::to_string(replicas) + " (got " + std::to_string(clients) + ")");
+  }
 
   const Count per_replica = clients / replicas;
   const core::AssignmentPlan plan(std::vector<Count>(
       static_cast<std::size_t>(replicas), per_replica));
   const core::MleEstimator mle;
-
-  const std::vector<Count> true_bots = {10,  20,  50,  80,  100,
-                                        150, 200, 250, 300, 350};
 
   util::Table table(
       "Figure 7 — MLE-estimated persistent bots and attacked-replica "

@@ -5,10 +5,10 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "bench_json.h"
@@ -23,6 +23,7 @@
 #include "obs/span.h"
 #include "sim/shuffle_sim.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 using namespace shuffledef;
@@ -267,105 +268,48 @@ void symmetry_pair(bench::BenchJson& out, const std::string& prefix,
             << rel_diff << "\n";
 }
 
-/// The online re-planning pipeline at paper scale (N = 10^4, M = 10,
-/// P = 10): one cold solve, then warm re-plans against drifted rounds —
-/// N drift with the same M (the steady-state case the sub-second target
-/// applies to) and an M-drift extension (a full new bot row, inherently
-/// costlier).  Records solve times, the pruned share of kernel candidates,
-/// and kernel/warm counters.  `max_warm_ms > 0` turns the N-drift warm
-/// re-plan into a hard gate (nonzero exit) for the CI perf smoke.
-bool paper_scale_pipeline(bench::BenchJson& out, double max_warm_ms) {
-  obs::Registry registry;
+/// One cold Algorithm-1 solve at paper scale (N = 10^4, M = 10, P = 10,
+/// tail_epsilon = 1e-12) on the shared pool; records the solve time, the
+/// pool's thread count and the value.
+void paper_scale_cold(bench::BenchJson& out) {
   core::AlgorithmOneOptions opts;
-  opts.threads = 1;
+  opts.threads = 0;
   opts.tail_epsilon = 1e-12;
-  opts.registry = &registry;
-  core::AlgorithmOnePlanner planner(opts);
-
-  util::Timer cold_timer;
-  const double v_cold = planner.value({10000, 10, 10});
-  const double cold_ms = cold_timer.elapsed_ms();
-
-  util::Timer warm_timer;
-  const double v_warm = planner.value({10050, 10, 10});
-  const double warm_ms = warm_timer.elapsed_ms();
-
-  util::Timer hit_timer;
-  const double v_hit = planner.value({9900, 10, 10});
-  const double hit_ms = hit_timer.elapsed_ms();
-
-  util::Timer mext_timer;
-  const double v_mext = planner.value({10050, 11, 10});
-  const double mext_ms = mext_timer.elapsed_ms();
-
-  const auto snap = registry.snapshot();
-  const auto pruned = snap.counter("planner.algorithm1.pruned_candidates");
-  const auto cands = snap.counter("planner.algorithm1.kernel_candidates");
-  const double pruned_pct =
-      cands > 0 ? 100.0 * static_cast<double>(pruned) /
-                      static_cast<double>(cands)
-                : 0.0;
-
+  const core::AlgorithmOnePlanner planner(opts);
+  util::Timer timer;
+  const double value = planner.value({10000, 10, 10});
+  const double cold_ms = timer.elapsed_ms();
+  const auto threads =
+      static_cast<std::int64_t>(util::ThreadPool::shared().thread_count());
   out.set("paper_scale_cold_ms", cold_ms);
-  out.set("paper_scale_warm_ms", warm_ms);
-  out.set("paper_scale_warm_hit_ms", hit_ms);
-  out.set("paper_scale_warm_mext_ms", mext_ms);
-  out.set("paper_scale_pruned_pct", pruned_pct);
-  out.set("paper_scale_pruned_candidates", pruned);
-  out.set("paper_scale_kernel_candidates", cands);
-  out.set("paper_scale_kernel_cells",
-          snap.counter("planner.algorithm1.kernel_cells"));
-  out.set("paper_scale_warm_hits",
-          snap.counter("planner.algorithm1.warm_hits"));
-  out.set("paper_scale_warm_extensions",
-          snap.counter("planner.algorithm1.warm_extensions"));
-  out.set("paper_scale_kernel_cands_per_ms",
-          cold_ms > 0.0 ? static_cast<double>(cands) / cold_ms : 0.0);
-  out.set("paper_scale_cold_value", v_cold);
-  std::cout << "paper_scale pipeline: cold " << cold_ms << " ms, warm(N+50) "
-            << warm_ms << " ms, warm hit(N-100) " << hit_ms
-            << " ms, warm(M+1) " << mext_ms << " ms, pruned " << pruned_pct
-            << "% of " << cands << " kernel candidates\n";
-  // Self-check, not a benchmark: the warm values must be reachable cold.
-  (void)v_warm;
-  (void)v_hit;
-  (void)v_mext;
-  if (max_warm_ms > 0.0 && warm_ms > max_warm_ms) {
-    std::cerr << "FAIL: paper-scale warm re-plan took " << warm_ms
-              << " ms (gate: " << max_warm_ms << " ms)\n";
-    return false;
-  }
-  return true;
+  out.set("paper_scale_threads", threads);
+  out.set("paper_scale_cold_value", value);
+  std::cout << "paper_scale cold solve: " << cold_ms << " ms on " << threads
+            << " threads\n";
 }
 
-/// Perf-trajectory mode: the paper-scale cold/warm re-planning pipeline
-/// (with its pruning counters), then the historical symmetry-cut pairs —
-/// paper scale and a smaller exact-mode (tail_epsilon = 0) pair where the
-/// cut is the only approximation-free difference.
-int run_bench_json(const std::string& path, double max_warm_ms) {
+/// Perf-trajectory mode: the paper-scale cold solve, then the exact-mode
+/// (tail_epsilon = 0) symmetry-cut pair, where the cut is the only
+/// difference between the two solves.
+int run_bench_json(const std::string& path) {
   bench::BenchJson out;
   out.set("bench", std::string("micro_algorithms"));
-  const bool warm_ok = paper_scale_pipeline(out, max_warm_ms);
-  symmetry_pair(out, "paper_scale", {10000, 10, 10}, 1e-12);
+  paper_scale_cold(out);
   symmetry_pair(out, "exact_mode", {400, 40, 10}, 0.0);
-  if (!out.write(path)) return 1;
-  return warm_ok ? 0 : 2;
+  return out.write(path) ? 0 : 1;
 }
 
 int run_bench(int argc, char** argv) {
   // `--bench-json <path>` bypasses google-benchmark and runs the
-  // re-planning + symmetry-cut perf trajectory instead (see
-  // EXPERIMENTS.md).  `--max-warm-ms <ms>` makes the paper-scale warm
-  // re-plan a hard gate (exit 2) for the CI perf smoke.
-  double max_warm_ms = 0.0;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--max-warm-ms") == 0) {
-      max_warm_ms = std::atof(argv[i + 1]);
-    }
-  }
+  // paper-scale solve + symmetry-cut perf trajectory instead (see
+  // EXPERIMENTS.md).  It takes no other flag, so one meant for another
+  // mode fails loudly instead of being ignored.
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--bench-json") == 0) {
-      return run_bench_json(argv[i + 1], max_warm_ms);
+      if (argc != 3) {
+        throw std::invalid_argument("--bench-json <path> takes no other flags");
+      }
+      return run_bench_json(argv[i + 1]);
     }
   }
   benchmark::Initialize(&argc, argv);

@@ -8,44 +8,12 @@
 //
 // and is solved bottom-up, exactly as the paper's Algorithm 1 builds the
 // save_no / assign_no lookup tables.  The paper quotes O(N^3 M^2 P) time and
-// reports tens of hours in Matlab for N = 1000.  This implementation is the
-// production solver, rebuilt around three mechanisms (the pre-rewrite solver
-// is frozen verbatim as ReferenceAlgorithmOne and every mechanism is pinned
-// against it by the differential battery in tests/core/planner_oracle_test):
+// reports tens of hours in Matlab for N = 1000, which is why the defense
+// plans with GreedyPlanner; this solver serves the Figure 3/5 benches and
+// the tests.  It keeps two rolling (n, m) value layers plus, when a plan is
+// extracted, one assign_no entry per (p, n, m) cell, and has four knobs on
+// top of the plain recurrence:
 //
-//   * Batched pmf-walk kernel.  Layers are stored [m][n] so one "b-pass"
-//     streams contiguously over the whole candidate block of a cell: the
-//     hypergeometric start Pr(b=0 | a) is maintained across m by a
-//     division-free cross-m recurrence, and the per-term pmf update uses a
-//     reciprocal table, so the inner loops are flat fma/mul streams the
-//     compiler auto-vectorizes (the serial reference walks one candidate at
-//     a time through a ~25-cycle divide dependency chain).
-//
-//   * Provably-safe branch-and-bound pruning (AlgorithmOneOptions::prune).
-//     Candidate upper bounds combine exact leading pmf terms (the b = 0
-//     partial sum, plus the exact b = 1 term weighted by its true
-//     continuation value) with the capacity bound S(nu, mu) <= S(nu, 0) =
-//     nu (monotonicity of the value function in the bot count, at its
-//     extreme point) and a column-max bound over the previous layer's
-//     reachable rows; a candidate is
-//     discarded only when its bound falls a safety margin below an
-//     incumbent that is itself a proven lower bound (a partial sum of
-//     nonnegative terms).  Values and plans are bit-identical with pruning
-//     on or off; verify_pruning additionally recomputes every pruned
-//     candidate's true value and throws if any could have beaten the
-//     incumbent (property-tested in tests/core/pruning_safety_test).
-//
-//   * Cross-round DP warm-starting (AlgorithmOneOptions::warm_start).  A
-//     cell S(n, m, p) does not depend on the problem's top-level (N, M), so
-//     the full layer stack from a previous solve — keyed by (P, options
-//     fingerprint) — is reused verbatim when the next round's (N, M) fits
-//     inside it (a pure table lookup) and extended incrementally when N or
-//     the MLE-estimated M drifted upward.  Warm and cold solves are
-//     bit-identical because extension runs the same per-cell kernel over
-//     the new cells only.
-//
-// Exactness-preserving accelerations retained from the original solver,
-// semantics unchanged (see ReferenceAlgorithmOne for the frozen originals):
 //   * hypergeometric tail truncation past the mode (tail_epsilon; 0 = exact);
 //   * the a_cap candidate cap (a genuine heuristic; tests bound the loss);
 //   * the exchangeability symmetry cut (symmetry_cut, default on): uniform
@@ -58,6 +26,9 @@
 //     (AlgorithmOneOptions::threads) with fixed chunk boundaries — cells of
 //     one layer only read the previous layer, so the parallel sweep is
 //     bit-identical to the serial one at any thread count.
+//
+// Its answers are pinned bit for bit by recorded digests in
+// tests/core/planner_oracle_test.
 //
 // Note on semantics: because the recurrence re-optimizes the remaining
 // replicas *conditioned on b* (the bots that landed in the bucket just
@@ -72,7 +43,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "core/planner.h"
 #include "obs/registry.h"
@@ -96,32 +66,6 @@ struct AlgorithmOneOptions {
   /// (a_cap already restricts the candidate set).  Default on; set false
   /// to recover the uncut loop bit-for-bit.
   bool symmetry_cut = true;
-  /// Branch-and-bound pruning of split candidates whose upper bound cannot
-  /// reach the incumbent.  Bounds use only exact partial sums plus safe
-  /// overestimates of the remaining pmf mass (capacity S(nu, mu) <= nu,
-  /// a column-max over the previous layer, and the exact b = 1 term with
-  /// capacity on the rest), and candidates within the safety margin of the
-  /// incumbent are never pruned, so values, plans, and tie-breaks are
-  /// bit-identical with pruning on or off.
-  bool prune = true;
-  /// Debug mode: recompute every pruned candidate's true value after its
-  /// cell resolves and throw std::logic_error if one could have beaten the
-  /// incumbent.  Increments "planner.algorithm1.pruned_rechecks" once per
-  /// recheck so tests can assert recheck count == pruned count.  Costly;
-  /// off by default.
-  bool verify_pruning = false;
-  /// Retain the solved layer stack (values + argmax) inside the planner,
-  /// keyed by (P, options fingerprint), and reuse it across solve calls:
-  /// a later problem that fits inside the retained extent is a pure table
-  /// lookup; a larger N or M extends the tables incrementally (computing
-  /// only the new cells).  Bit-identical to a cold solve.  Falls back to
-  /// the memory-lean rolling two-layer mode when the retained stack would
-  /// exceed warm_memory_limit_bytes.
-  bool warm_start = true;
-  /// Ceiling for the retained warm tables (across all cached (P,
-  /// fingerprint) entries of this planner); least-recently-used entries
-  /// are evicted to stay under it.
-  std::size_t warm_memory_limit_bytes = std::size_t{512} << 20;
   /// Guard against accidental monster allocations (value + argmax tables).
   std::size_t memory_limit_bytes = std::size_t{2} << 30;
   /// Threads for the per-layer cell sweep: 1 = serial (no pool touched),
@@ -131,22 +75,16 @@ struct AlgorithmOneOptions {
   /// fixed-boundary chunks, so the result is bit-identical at any setting.
   Count threads = 0;
   /// Observability sink (nullptr = uninstrumented).  Counters
-  /// "planner.algorithm1.{solves,layers,cells}" (as before), plus
-  /// "planner.algorithm1.pruned_candidates" (candidates discarded by the
-  /// branch-and-bound bounds), "planner.algorithm1.pruned_rechecks"
-  /// (verify_pruning audits), "planner.algorithm1.warm_{hits,extensions,
-  /// misses}" (full reuse / incremental extension / cold), and
-  /// "planner.algorithm1.kernel_{candidates,cells}" (work actually routed
-  /// through the batched kernel).  All counts are independent of the
-  /// thread count, so snapshots stay deterministic.
+  /// "planner.algorithm1.{solves,layers,cells}" and the span
+  /// "planner.algorithm1.solve".  Counts are independent of the thread
+  /// count, so snapshots stay deterministic.
   obs::Registry* registry = nullptr;
 
   /// Fingerprint over the value-affecting options (tail_epsilon, a_cap,
   /// symmetry_cut).  Two option sets with equal fingerprints produce
-  /// bit-identical DP tables, so the fingerprint keys warm-start reuse here
-  /// and PlannerCache keys in ShuffleController::decide.  Execution knobs
-  /// (threads, prune, warm_start, registry, limits) are deliberately
-  /// excluded — they never change values.
+  /// bit-identical DP tables, so the fingerprint keys PlannerCache entries
+  /// in ShuffleController::decide.  Execution knobs (threads, registry,
+  /// limits) are deliberately excluded — they never change values.
   [[nodiscard]] std::uint64_t fingerprint() const;
 };
 
@@ -172,36 +110,21 @@ class AlgorithmOnePlanner final : public Planner {
     return options_.fingerprint();
   }
 
-  /// Drop every retained warm-start entry (testing / memory pressure hook).
-  void clear_warm_cache() const;
-
  private:
-  struct Warm;
-  struct SolveResult;
-  class SolveEngine;
-  [[nodiscard]] SolveResult solve(const ShuffleProblem& problem,
-                                  bool keep_argmax) const;
+  struct Tables;
+  [[nodiscard]] Tables solve(const ShuffleProblem& problem, bool keep_argmax) const;
   [[nodiscard]] util::ThreadPool* pool() const;
 
   AlgorithmOneOptions options_;
   // Lazily built private pool when options_.threads > 1 (solve() is const;
-  // the pool is an execution resource, not logical state).
+  // the pool is an execution resource, not logical state).  Solve calls on
+  // one planner instance must not run concurrently; distinct instances are
+  // independent.
   mutable std::unique_ptr<util::ThreadPool> private_pool_;
-  // Retained warm-start entries, most-recently-used last.  Solve calls on
-  // one planner instance must not run concurrently (same contract as the
-  // lazy pool above); distinct instances are independent.
-  mutable std::vector<std::unique_ptr<Warm>> warm_;
   // Null handles when options_.registry is null (all ops no-op).
   obs::Counter solves_;
   obs::Counter layers_;
   obs::Counter cells_;
-  obs::Counter pruned_;
-  obs::Counter rechecks_;
-  obs::Counter warm_hits_;
-  obs::Counter warm_exts_;
-  obs::Counter warm_misses_;
-  obs::Counter kernel_cells_;
-  obs::Counter kernel_cands_;
 };
 
 }  // namespace shuffledef::core

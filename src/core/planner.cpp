@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "core/algorithm_one.h"
-#include "core/algorithm_one_reference.h"
 #include "core/even_planner.h"
 #include "core/greedy_planner.h"
 #include "core/separable_dp.h"
@@ -15,24 +14,16 @@ std::unique_ptr<Planner> make_planner(const std::string& name,
   if (name == "even") return std::make_unique<EvenPlanner>();
   if (name == "greedy") return std::make_unique<GreedyPlanner>();
   if (name == "dp") return std::make_unique<SeparableDpPlanner>();
-  const AlgorithmOneOptions a1{.tail_epsilon = options.tail_epsilon,
-                               .a_cap = options.a_cap,
-                               .symmetry_cut = options.symmetry_cut,
-                               .prune = options.prune,
-                               .verify_pruning = options.verify_pruning,
-                               .warm_start = options.warm_start,
-                               .threads = options.threads,
-                               .registry = options.registry};
-  if (name == "algorithm1") return std::make_unique<AlgorithmOnePlanner>(a1);
-  // The frozen pre-optimization solver (differential oracle; see
-  // algorithm_one_reference.h).  Exposed through the factory so benches and
-  // tests can A/B it through the same construction path.
-  if (name == "algorithm1_reference") {
-    return std::make_unique<ReferenceAlgorithmOne>(a1);
+  if (name == "algorithm1") {
+    return std::make_unique<AlgorithmOnePlanner>(
+        AlgorithmOneOptions{.tail_epsilon = options.tail_epsilon,
+                            .a_cap = options.a_cap,
+                            .symmetry_cut = options.symmetry_cut,
+                            .threads = options.threads,
+                            .registry = options.registry});
   }
-  throw std::invalid_argument(
-      "make_planner: unknown planner '" + name +
-      "' (expected even|greedy|dp|algorithm1|algorithm1_reference)");
+  throw std::invalid_argument("make_planner: unknown planner '" + name +
+                              "' (expected even|greedy|dp|algorithm1)");
 }
 
 }  // namespace shuffledef::core

@@ -54,14 +54,6 @@ struct PlannerOptions {
   /// AlgorithmOne exchangeability symmetry cut (see AlgorithmOneOptions):
   /// evaluate split candidates a and n - a from one hypergeometric walk.
   bool symmetry_cut = true;
-  /// AlgorithmOne branch-and-bound pruning and its debug recheck mode (see
-  /// AlgorithmOneOptions::{prune, verify_pruning}).  Bit-identical values
-  /// and plans either way; verify_pruning is a costly audit for tests.
-  bool prune = true;
-  bool verify_pruning = false;
-  /// AlgorithmOne cross-round DP table retention (see
-  /// AlgorithmOneOptions::warm_start).  Bit-identical to cold solves.
-  bool warm_start = true;
   /// Observability sink for planner counters/spans (nullptr = none).
   obs::Registry* registry = nullptr;
 };

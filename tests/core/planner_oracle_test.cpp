@@ -1,26 +1,27 @@
-// Oracle-grade differential battery for the rewritten Algorithm-1 solver.
+// Oracle battery for the Algorithm-1 solver.
 //
-// ReferenceAlgorithmOne (algorithm_one_reference.h) is the frozen
-// pre-optimization planner; every mechanism added since the freeze — the
-// batched pmf-walk kernels, branch-and-bound pruning, cross-round
-// warm-starting, and the restructured SeparableDp sweep — must reproduce its
-// values to <= 1e-10 relative and its plans exactly up to provable value
-// ties.  Randomized sweeps draw (N, M, P, tail_epsilon, a_cap,
-// symmetry_cut, threads) jointly so option interactions are covered, not
-// just one-factor-at-a-time.
+// The oracle is a set of recorded answers, not a second solver: each
+// PlannerOracle sweep folds AlgorithmOnePlanner's values and plans into one
+// FNV-1a-64 digest and pins it bit for bit.  The digests were recorded from
+// the original transcription of the paper's recurrence (the frozen solver
+// this one was moved from), so any change to a value's last ulp, a
+// tie-break or the plan walk shows up here.  The randomized sweeps draw
+// (N, M, P, tail_epsilon, a_cap, symmetry_cut, threads) jointly so option
+// interactions are covered, not just one factor at a time.
 //
-// Runs under both the "planner_oracle" ctest label (the CI differential
-// lane) and the "threading" label (the TSan lane covers the kernels inside
-// the chunked parallel sweep).
+// Runs under both the "planner_oracle" ctest label (the CI oracle lane) and
+// the "threading" label (the TSan lane covers the chunked parallel sweep).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/algorithm_one.h"
-#include "core/algorithm_one_reference.h"
 #include "core/planner.h"
 #include "core/separable_dp.h"
 #include "util/math.h"
@@ -32,14 +33,12 @@ namespace {
 constexpr double kValueTol = 1e-10;
 
 AlgorithmOneOptions opts_with(double tail_epsilon, Count a_cap,
-                              bool symmetry_cut, Count threads,
-                              bool prune = true) {
+                              bool symmetry_cut, Count threads) {
   AlgorithmOneOptions o;
   o.tail_epsilon = tail_epsilon;
   o.a_cap = a_cap;
   o.symmetry_cut = symmetry_cut;
   o.threads = threads;
-  o.prune = prune;
   return o;
 }
 
@@ -58,107 +57,60 @@ void expect_value_close(double got, double want, const std::string& ctx) {
       << ctx << " got=" << got << " want=" << want;
 }
 
-std::vector<Count> sorted_counts(const AssignmentPlan& plan) {
-  std::vector<Count> counts = plan.counts();
-  std::sort(counts.begin(), counts.end());
-  return counts;
-}
-
-// Expected value of cutting a bucket of size `a` from cell (n, m, p) and
-// continuing optimally, evaluated entirely by the frozen oracle:
-//   Q(a) = sum_b Pr(b | a) * (S(a, b, 1) + S_ref(n - a, m - b, p - 1)).
-double oracle_split_quality(const ShuffleProblem& pb, Count a,
-                            AlgorithmOneOptions o) {
-  o.threads = 1;
-  double q = 0.0;
-  for (Count b = 0; b <= std::min(pb.bots, a); ++b) {
-    const double pr = util::hypergeometric_pmf(pb.clients, pb.bots, a, b);
-    if (pr <= 0.0) continue;
-    const Count rn = pb.clients - a;
-    const Count rm = pb.bots - b;
-    if (rm > rn) continue;  // zero-probability support edge
-    const double cut = b == 0 ? static_cast<double>(a) : 0.0;
-    double rest;
-    if (pb.replicas == 2) {
-      rest = rm == 0 ? static_cast<double>(rn) : 0.0;
-    } else {
-      rest = ReferenceAlgorithmOne(o).value({rn, rm, pb.replicas - 1});
+// FNV-1a-64 over a sweep's answers in sweep order: each value's bit
+// pattern, then each plan count as a uint64, 8 little-endian bytes apiece.
+class AnswerDigest {
+ public:
+  void add(const AlgorithmOnePlanner& planner, const ShuffleProblem& pb) {
+    add_word(std::bit_cast<std::uint64_t>(planner.value(pb)));
+    // Bind the plan first: iterating plan(pb).counts() directly would read
+    // a destroyed temporary.
+    const AssignmentPlan plan = planner.plan(pb);
+    for (const Count c : plan.counts()) {
+      add_word(static_cast<std::uint64_t>(c));
     }
-    q += pr * (cut + rest);
   }
-  return q;
-}
 
-// Plans must match the oracle bucket-for-bucket (counts are in cut order).
-// The one sanctioned exception is an exact-arithmetic value tie that the
-// batched kernels' different (but equally exact) floating-point evaluation
-// order resolves to a different argmax than the oracle's scalar loop.
-// When the plans first diverge, both chosen splits are re-scored through
-// the oracle itself; the divergence is accepted only if the two splits are
-// value-equivalent to <= 1e-9 relative, proving a tie rather than a wrong
-// argmax.  The walk reduces (n, m) with the same expected-bot-remainder
-// rule both planners use for extraction.
-void expect_plan_matches_oracle(const ShuffleProblem& pb,
-                                const AlgorithmOneOptions& o,
-                                const AssignmentPlan& got,
-                                const AssignmentPlan& oracle_plan) {
-  const std::vector<Count>& gp = got.counts();
-  const std::vector<Count>& op = oracle_plan.counts();
-  ASSERT_EQ(gp.size(), op.size()) << describe(pb, o);
-  Count n = pb.clients;
-  Count m = pb.bots;
-  for (std::size_t i = 0; i < gp.size(); ++i) {
-    const Count p = pb.replicas - static_cast<Count>(i);
-    if (gp[i] == op[i]) {
-      const Count a = gp[i];
-      if (p == 1 || a >= n) return;  // tail is forced (or all dumped)
-      const double expected_left = static_cast<double>(m) *
-                                   static_cast<double>(n - a) /
-                                   static_cast<double>(n);
-      m = std::min<Count>(static_cast<Count>(std::llround(expected_left)),
-                          n - a);
-      n -= a;
-      continue;
+  void add(const ShuffleProblem& pb, const AlgorithmOneOptions& o) {
+    add(AlgorithmOnePlanner(o), pb);
+  }
+
+  void expect(std::uint64_t want) const {
+    EXPECT_EQ(hash_, want) << std::hex << "digest 0x" << hash_
+                           << ", recorded 0x" << want;
+  }
+
+ private:
+  void add_word(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xffu;
+      hash_ *= 0x100000001b3ULL;
     }
-    const ShuffleProblem cell{n, m, p};
-    ASSERT_TRUE(gp[i] >= 1 && gp[i] <= n - 1 && op[i] >= 1 && op[i] <= n - 1)
-        << describe(pb, o) << ": structural plan divergence at bucket " << i
-        << " (got " << gp[i] << ", oracle " << op[i] << " of n=" << n << ")";
-    const double qg = oracle_split_quality(cell, gp[i], o);
-    const double qo = oracle_split_quality(cell, op[i], o);
-    const double scale = std::max({std::abs(qg), std::abs(qo), 1.0});
-    EXPECT_LE(std::abs(qg - qo), 1e-9 * scale)
-        << describe(pb, o) << ": bucket " << i << " split " << gp[i]
-        << " (scores " << qg << ") vs oracle split " << op[i] << " (scores "
-        << qo << ") is not a value tie";
-    return;  // after a tie the walks legitimately diverge
   }
-}
 
-void check_config(const ShuffleProblem& pb, const AlgorithmOneOptions& o) {
-  const ReferenceAlgorithmOne oracle(o);
-  const AlgorithmOnePlanner prod(o);
-  const std::string ctx = describe(pb, o);
-  expect_value_close(prod.value(pb), oracle.value(pb), ctx);
-  expect_plan_matches_oracle(pb, o, prod.plan(pb), oracle.plan(pb));
-}
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
 
 TEST(PlannerOracle, ExhaustiveTinyGridDefaultOptions) {
+  AnswerDigest digest;
   for (Count n = 4; n <= 12; ++n) {
     for (Count m = 0; m <= n - 2; ++m) {
       for (Count p = 2; p <= 4; ++p) {
-        check_config({n, m, p}, opts_with(0.0, 0, true, 1));
+        digest.add({n, m, p}, opts_with(0.0, 0, true, 1));
       }
     }
   }
+  digest.expect(0x400e27ea2fdd84b0ULL);
 }
 
 TEST(PlannerOracle, ExhaustiveTinyGridUncutUnpruned) {
+  AnswerDigest digest;
   for (Count n = 4; n <= 12; ++n) {
     for (Count m = 0; m <= n - 2; ++m) {
-      check_config({n, m, 3}, opts_with(0.0, 0, false, 1, /*prune=*/false));
+      digest.add({n, m, 3}, opts_with(0.0, 0, false, 1));
     }
   }
+  digest.expect(0x6319c7561335353cULL);
 }
 
 // One jointly-randomized configuration per trial; the seed is the trial
@@ -166,7 +118,12 @@ TEST(PlannerOracle, ExhaustiveTinyGridUncutUnpruned) {
 class PlannerOracleRandomized : public ::testing::TestWithParam<int> {};
 
 TEST_P(PlannerOracleRandomized, MatchesReference) {
+  constexpr std::uint64_t kRecorded[] = {
+      0x8135020e0bc23fd2ULL, 0x7c27818e08e6a018ULL, 0x33c4369aea531e0fULL,
+      0x1dbe066350c78ea3ULL, 0x1cd17a50f3c2e46eULL, 0xabfbecf8a0c2c3efULL,
+      0x186690a59377a425ULL, 0xf8d23a4c9483f594ULL};
   util::Rng rng(977001 + GetParam());
+  AnswerDigest digest;
   for (int trial = 0; trial < 6; ++trial) {
     const auto n = static_cast<Count>(rng.uniform_int(20, 260));
     const auto m =
@@ -179,18 +136,21 @@ TEST_P(PlannerOracleRandomized, MatchesReference) {
             : 0;
     const bool sym = rng.uniform_int(0, 1) != 0;
     const auto threads = static_cast<Count>(rng.uniform_int(0, 1) * 3 + 1);
-    check_config({n, m, p}, opts_with(eps, a_cap, sym, threads));
+    digest.add({n, m, p}, opts_with(eps, a_cap, sym, threads));
   }
+  digest.expect(kRecorded[GetParam()]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, PlannerOracleRandomized,
                          ::testing::Range(0, 8));
 
 TEST(PlannerOracle, MidScaleSpotChecks) {
-  // A few larger instances (the randomized sweep stays small so the frozen
-  // oracle's runtime does not dominate CI).
-  check_config({1200, 8, 5}, opts_with(1e-12, 0, true, 1));
-  check_config({2000, 6, 4}, opts_with(0.0, 0, true, 4));
+  // A few larger instances (the randomized sweep stays small so the solver's
+  // runtime does not dominate CI).
+  AnswerDigest digest;
+  digest.add({1200, 8, 5}, opts_with(1e-12, 0, true, 1));
+  digest.add({2000, 6, 4}, opts_with(0.0, 0, true, 4));
+  digest.expect(0x5dab9722e445fcf4ULL);
 }
 
 TEST(PlannerOracle, ThreadCountsAgreeBitwise) {
@@ -231,11 +191,15 @@ TEST(PlannerOracle, TailEpsilonZeroAndTinyAgree) {
 }
 
 TEST(PlannerOracle, FactoryExposesReferencePlanner) {
-  const auto prod = make_planner("algorithm1");
-  const auto ref = make_planner("algorithm1_reference");
-  const ShuffleProblem pb{60, 5, 3};
-  EXPECT_EQ(ref->name(), "algorithm1_reference");
-  EXPECT_EQ(sorted_counts(prod->plan(pb)), sorted_counts(ref->plan(pb)));
+  // The factory's "algorithm1" is the recorded solver at default options;
+  // the retired second solver's kind is no longer accepted.
+  const auto planner = make_planner("algorithm1");
+  ASSERT_EQ(planner->name(), "algorithm1");
+  AnswerDigest digest;
+  digest.add(dynamic_cast<const AlgorithmOnePlanner&>(*planner), {60, 5, 3});
+  digest.expect(0x5fe89dbcb51dfe49ULL);
+  EXPECT_THROW((void)make_planner("algorithm1_reference"),
+               std::invalid_argument);
 }
 
 TEST(PlannerOracle, SeparableDpMatchesAlgorithmOneOnSmallGrid) {

@@ -154,25 +154,6 @@ TEST(ShuffleController, CacheKeysIncludeOptionsFingerprint) {
   EXPECT_EQ(controller.planner_cache()->hits(), 1u);
 }
 
-TEST(ShuffleController, Algorithm1WarmStartAcrossRounds) {
-  // The controller owns one planner instance for its lifetime, so the
-  // planner's warm-start tables persist across decide() calls: a shrinking
-  // pool round reuses the previous round's DP stack.
-  obs::Registry reg;
-  ControllerConfig config;
-  config.planner = "algorithm1";
-  config.replicas = 4;
-  config.use_mle = false;
-  config.planner_cache_capacity = 0;  // isolate the planner-level reuse
-  config.registry = &reg;
-  ShuffleController controller(config);
-  controller.set_bot_estimate(6);
-  (void)controller.decide(150, std::nullopt);
-  (void)controller.decide(140, std::nullopt);
-  const auto snap = reg.snapshot();
-  EXPECT_GE(snap.counter("planner.algorithm1.warm_hits"), 1u);
-}
-
 TEST(ShuffleController, ZeroPoolYieldsEmptyPlan) {
   ControllerConfig config;
   config.replicas = 3;
