@@ -1,4 +1,4 @@
-// Ablation — adaptive adversaries vs controller variants, in both engines.
+// Ablation — adaptive adversaries vs controller variants.
 //
 // The paper's §VII evasive strategies all assume the bots' address
 // knowledge survives a shuffle.  The adaptive tier drops that assumption:
@@ -7,12 +7,11 @@
 // "churn" bots leave and re-arrive around shuffles.  This campaign runs each
 // adversary against three controller variants — greedy, DP, and a
 // cost-aware greedy that declines rounds whose priced net save is
-// unprofitable (Zhou et al., arXiv:1903.10102) — in BOTH round-based
-// engines (the per-client simulator and the count-based/tracked
-// ShuffleSimulator), which share the one strategy registry and the one
-// controller brain.  The interesting outputs: the safe fraction each
-// combination ends with, the delivered attack intensity, and how many
-// rounds the cost-aware controller refused to pay for.
+// unprofitable (Zhou et al., arXiv:1903.10102) — in the per-client
+// simulator, the engine that keeps the per-bot state these adversaries
+// need.  The interesting outputs: the safe fraction each combination ends
+// with, the delivered attack intensity, and how many rounds the cost-aware
+// controller refused to pay for.
 #include <array>
 #include <iostream>
 #include <string>
@@ -21,12 +20,10 @@
 #include "bench_main.h"
 #include "shuffle_series.h"
 #include "sim/client_sim.h"
-#include "sim/shuffle_sim.h"
 #include "util/flags.h"
 #include "util/table.h"
 
 using namespace shuffledef;
-using core::Count;
 
 namespace {
 
@@ -58,7 +55,7 @@ core::ControllerConfig controller_config(const ControllerRow& c) {
 int run_bench(int argc, char** argv) {
   util::Flags flags("abl_adaptive_attackers",
                     "Ablation: adaptive adversaries vs controller variants "
-                    "in both simulators");
+                    "in the client-level simulator");
   auto& benign = flags.add_int("benign", 2000, "benign clients");
   auto& bots = flags.add_int("bots", 100, "bots");
   auto& rounds = flags.add_int("rounds", 60, "shuffle rounds to simulate");
@@ -74,6 +71,10 @@ int run_bench(int argc, char** argv) {
   metrics_export.add_flags(flags);
   flags.parse(argc, argv);
   bench::require_reps(reps);
+  bench::require_at_least_one("benign", benign);
+  bench::require_at_least_one("bots", bots);
+  bench::require_at_least_one("rounds", rounds);
+  bench::require_at_least("replicas", replicas, 2);
 
   const auto make_params = [](const char* name,
                               core::StrategyOptions options = {}) {
@@ -96,113 +97,73 @@ int run_bench(int argc, char** argv) {
       {"greedy cost-aware", "greedy", cost_weight, min_net},
   };
 
-  // Grid: controller x adversary x engine x rep, flattened for one shared
-  // SweepRunner fan-out (bit-identical at any --jobs; seeds key on the rep).
+  // Grid: controller x adversary x rep, flattened for one shared SweepRunner
+  // fan-out (bit-identical at any --jobs; seeds key on the rep).
   const std::size_t n_reps = static_cast<std::size_t>(reps);
-  const std::size_t n_engines = 2;  // 0 = client-level, 1 = count/tracked
-  const std::size_t per_cell = n_engines * n_reps;
   const std::size_t n_cells = controllers.size() * adversaries.size();
   sim::SweepRunner runner(
       sim::SweepConfig{.jobs = static_cast<std::size_t>(jobs_flag)});
   const auto sweep = runner.run(
-      n_cells * per_cell, [&](const sim::SweepCell& cell) -> Outcome {
-        const std::size_t ci = cell.index / (adversaries.size() * per_cell);
-        const std::size_t ai = (cell.index / per_cell) % adversaries.size();
-        const std::size_t engine = (cell.index / n_reps) % n_engines;
+      n_cells * n_reps, [&](const sim::SweepCell& cell) -> Outcome {
+        const std::size_t ci = cell.index / (adversaries.size() * n_reps);
+        const std::size_t ai = (cell.index / n_reps) % adversaries.size();
         const std::size_t r = cell.index % n_reps;
-        const std::uint64_t run_seed =
-            static_cast<std::uint64_t>(seed) + static_cast<std::uint64_t>(r);
-        auto controller = controller_config(controllers[ci]);
-        controller.replicas = replicas;
-        if (engine == 0) {
-          sim::ClientSimConfig cfg;
-          cfg.benign = benign;
-          cfg.bots = bots;
-          cfg.strategy = adversaries[ai].params;
-          cfg.controller = controller;
-          cfg.rounds = rounds;
-          cfg.seed = run_seed;
-          cfg.registry = cell.registry;
-          const auto result = sim::ClientLevelSimulator(cfg).run();
-          double intensity = 0.0;
-          double declined = 0.0;
-          for (const auto& round : result.rounds) {
-            intensity += static_cast<double>(round.active_attackers);
-            if (round.shuffle_declined) declined += 1.0;
-          }
-          const auto n = static_cast<double>(result.rounds.size());
-          return Outcome{100.0 * result.final_safe_fraction(),
-                         n > 0 ? intensity / n : 0.0, declined,
-                         n - declined};
-        }
-        sim::ShuffleSimConfig cfg;
-        cfg.benign = {.initial = benign, .rate = 0.0,
-                      .total_cap = static_cast<Count>(benign)};
-        cfg.bots = {.initial = bots, .rate = 0.0,
-                    .total_cap = static_cast<Count>(bots)};
+        sim::ClientSimConfig cfg;
+        cfg.benign = benign;
+        cfg.bots = bots;
         cfg.strategy = adversaries[ai].params;
-        cfg.controller = controller;
-        cfg.target_fraction = 1.0;
-        cfg.max_rounds = rounds;
-        cfg.seed = run_seed;
+        cfg.controller = controller_config(controllers[ci]);
+        cfg.controller.replicas = replicas;
+        cfg.rounds = rounds;
+        cfg.seed =
+            static_cast<std::uint64_t>(seed) + static_cast<std::uint64_t>(r);
         cfg.registry = cell.registry;
-        const auto result = sim::ShuffleSimulator(cfg).run();
+        const auto result = sim::ClientLevelSimulator(cfg).run();
         double intensity = 0.0;
         double declined = 0.0;
         for (const auto& round : result.rounds) {
-          intensity += static_cast<double>(round.active_bots);
-          if (round.declined) declined += 1.0;
+          intensity += static_cast<double>(round.active_attackers);
+          if (round.shuffle_declined) declined += 1.0;
         }
         const auto n = static_cast<double>(result.rounds.size());
-        const double safe =
-            result.benign_total > 0
-                ? 100.0 * static_cast<double>(result.saved_total) /
-                      static_cast<double>(result.benign_total)
-                : 0.0;
-        return Outcome{safe, n > 0 ? intensity / n : 0.0, declined,
-                       n - declined};
+        return Outcome{100.0 * result.final_safe_fraction(),
+                       n > 0 ? intensity / n : 0.0, declined, n - declined};
       });
 
-  const char* engine_names[n_engines] = {"client-level sim", "count-based sim"};
-  for (std::size_t engine = 0; engine < n_engines; ++engine) {
-    util::Table table(std::string(engine_names[engine]) +
-                      " — adaptive adversaries vs controllers (" +
-                      std::to_string(benign) + " benign, " +
-                      std::to_string(bots) + " bots, P=" +
-                      std::to_string(replicas) + ", " + std::to_string(rounds) +
-                      " rounds, " + std::to_string(reps) + " reps, 95% CI)");
-    table.set_headers({"controller", "adversary", "benign safe %",
-                       "attack intensity (bots/round)", "rounds declined",
-                       "shuffles executed"});
-    for (std::size_t ci = 0; ci < controllers.size(); ++ci) {
-      for (std::size_t ai = 0; ai < adversaries.size(); ++ai) {
-        util::Accumulator safe, intensity, declined, executed;
-        for (std::size_t r = 0; r < n_reps; ++r) {
-          const std::size_t index = (ci * adversaries.size() + ai) * per_cell +
-                                    engine * n_reps + r;
-          const auto& vals = sweep.value(index);
-          safe.add(vals[0]);
-          intensity.add(vals[1]);
-          declined.add(vals[2]);
-          executed.add(vals[3]);
-        }
-        const auto sp = safe.summary();
-        const auto in = intensity.summary();
-        const auto de = declined.summary();
-        const auto ex = executed.summary();
-        table.add_row({controllers[ci].label, adversaries[ai].label,
-                       util::fmt_ci(sp.mean, sp.ci_half_width(0.95), 1),
-                       util::fmt_ci(in.mean, in.ci_half_width(0.95), 1),
-                       util::fmt_ci(de.mean, de.ci_half_width(0.95), 1),
-                       util::fmt_ci(ex.mean, ex.ci_half_width(0.95), 1)});
+  util::Table table("client-level sim — adaptive adversaries vs controllers (" +
+                    std::to_string(benign) + " benign, " +
+                    std::to_string(bots) + " bots, P=" +
+                    std::to_string(replicas) + ", " + std::to_string(rounds) +
+                    " rounds, " + std::to_string(reps) + " reps, 95% CI)");
+  table.set_headers({"controller", "adversary", "benign safe %",
+                     "attack intensity (bots/round)", "rounds declined",
+                     "shuffles executed"});
+  for (std::size_t ci = 0; ci < controllers.size(); ++ci) {
+    for (std::size_t ai = 0; ai < adversaries.size(); ++ai) {
+      util::Accumulator safe, intensity, declined, executed;
+      for (std::size_t r = 0; r < n_reps; ++r) {
+        const auto& vals =
+            sweep.value((ci * adversaries.size() + ai) * n_reps + r);
+        safe.add(vals[0]);
+        intensity.add(vals[1]);
+        declined.add(vals[2]);
+        executed.add(vals[3]);
       }
+      const auto sp = safe.summary();
+      const auto in = intensity.summary();
+      const auto de = declined.summary();
+      const auto ex = executed.summary();
+      table.add_row({controllers[ci].label, adversaries[ai].label,
+                     util::fmt_ci(sp.mean, sp.ci_half_width(0.95), 1),
+                     util::fmt_ci(in.mean, in.ci_half_width(0.95), 1),
+                     util::fmt_ci(de.mean, de.ci_half_width(0.95), 1),
+                     util::fmt_ci(ex.mean, ex.ci_half_width(0.95), 1)});
     }
-    table.print_with_csv();
   }
+  table.print_with_csv();
   metrics_export.write_if_requested([&] { return sweep.metrics; });
-  std::cout << "Reproduction check: both engines agree qualitatively on every "
-               "cell; coupon-collector bots deliver a fraction of the "
-               "always-on intensity while they re-scan; the cost-aware "
+  std::cout << "Reproduction check: coupon-collector bots deliver a fraction "
+               "of the always-on intensity while they re-scan; the cost-aware "
                "controller declines late, low-value rounds without giving up "
                "the safe fraction." << std::endl;
   return 0;

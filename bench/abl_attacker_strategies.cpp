@@ -33,6 +33,9 @@ int run_bench(int argc, char** argv) {
   metrics_export.add_flags(flags);
   flags.parse(argc, argv);
   bench::require_reps(reps);
+  bench::require_at_least_one("benign", benign);
+  bench::require_at_least_one("bots", bots);
+  bench::require_at_least_one("rounds", rounds);
 
   struct Row {
     const char* label;

@@ -3,14 +3,14 @@
 //
 // Two jobs:
 //   * correctness at scale: the SoA engine (sim/client_sim.h) must produce
-//     round metrics bit-identical to the frozen pre-SoA reference engine
-//     (sim/client_sim_reference.h) and bit-identical to itself across
-//     thread counts {1, 4, 8}, at every population scale.  The whole
-//     verification grid fans out across --jobs via SweepRunner.
-//   * performance trajectory: wall-clock of the reference engine vs the SoA
-//     engine at threads {1, 4, 8}, N in {10^4, 10^5, 10^6}.  --bench-json
-//     persists the numbers (CI uploads BENCH_clientsim.json) including the
-//     headline speedup at N = 10^6 x 50 rounds.
+//     round metrics bit-identical to itself across thread counts {1, 4, 8},
+//     at every population scale.  The whole verification grid fans out
+//     across --jobs via SweepRunner.  (Its answers at these three scales are
+//     also pinned to recorded digests of the pre-SoA engine by
+//     tests/sim/client_sim_golden_test.cpp.)
+//   * performance trajectory: wall-clock of the SoA engine at threads
+//     {1, 4, 8}, N in {10^4, 10^5, 10^6}.  --bench-json persists the numbers
+//     (CI uploads BENCH_clientsim.json).
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
@@ -21,7 +21,6 @@
 #include "bench_main.h"
 #include "shuffle_series.h"
 #include "sim/client_sim.h"
-#include "sim/client_sim_reference.h"
 #include "util/flags.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -51,18 +50,18 @@ sim::ClientSimConfig scale_config(Count clients, Count rounds,
 
 int run_bench(int argc, char** argv) {
   util::Flags flags("abl_client_scale",
-                    "Client-level simulator at 10^4..10^6 clients: SoA vs "
-                    "reference engine, thread-count bit-identity, speedup");
+                    "Client-level simulator at 10^4..10^6 clients: "
+                    "thread-count bit-identity and wall-clock");
   auto& rounds = flags.add_int("rounds", 50, "shuffle rounds per run");
   auto& reps = flags.add_int(
-      "reps", 3, "timing repetitions per engine (the minimum is reported)");
+      "reps", 3, "timing repetitions per run (the minimum is reported)");
   auto& seed = flags.add_int("seed", 5, "RNG seed");
   auto& max_scale =
       flags.add_int("max-scale", 1000000, "largest client count to run");
   auto& jobs_flag = bench::add_jobs_flag(flags);
   auto& bench_json = flags.add_string(
       "bench-json", "",
-      "write wall-clock / speedup / bit-identity numbers to this JSON file");
+      "write wall-clock / bit-identity numbers to this JSON file");
   bench::MetricsExport metrics_export;
   metrics_export.add_flags(flags, /*bench_json_alias=*/false);
   flags.parse(argc, argv);
@@ -76,69 +75,56 @@ int run_bench(int argc, char** argv) {
   if (scales.empty()) scales.push_back(std::max<Count>(1000, max_scale));
   const std::vector<Count> thread_grid = {1, 4, 8};
 
-  // --- Verification grid: every scale x {reference, SoA@1, SoA@4, SoA@8},
-  // fanned out across --jobs.  Each cell returns the full round-metrics
-  // sequence; afterwards all four variants of a scale must agree exactly.
-  const std::size_t variants = 1 + thread_grid.size();
+  // --- Verification grid: every scale x SoA@{1, 4, 8}, fanned out across
+  // --jobs.  Each cell returns the full round-metrics sequence; afterwards
+  // all thread counts of a scale must agree exactly.
+  const std::size_t variants = thread_grid.size();
   sim::SweepRunner runner(
       sim::SweepConfig{.jobs = static_cast<std::size_t>(jobs_flag)});
   // Cost hints: cells span two orders of magnitude in client count, so the
-  // 10^6 cells start first and the 10^4 ones backfill (the reference engine
-  // is the slowest variant at any scale — weight it up).
+  // 10^6 cells start first and the 10^4 ones backfill.
   sim::SweepPlan grid;
   grid.cell_count = scales.size() * variants;
   grid.cost_hints.reserve(grid.cell_count);
   for (const Count clients : scales) {
     for (std::size_t v = 0; v < variants; ++v) {
-      grid.cost_hints.push_back(static_cast<double>(clients) *
-                                (v == 0 ? 4.0 : 1.0));
+      grid.cost_hints.push_back(static_cast<double>(clients));
     }
   }
   const auto sweep = runner.run(
       grid, [&](const sim::SweepCell& cell) {
         const Count clients = scales[cell.index / variants];
-        const std::size_t variant = cell.index % variants;
         // Fixed per-scale seed (not the sweep's seed chain): all variants
         // of one scale must simulate the identical scenario.
-        const auto cfg_seed = static_cast<std::uint64_t>(seed);
-        if (variant == 0) {
-          auto cfg = scale_config(clients, rounds, cfg_seed, 1);
-          return sim::ReferenceClientSimulator(cfg).run().rounds;
-        }
-        auto cfg = scale_config(clients, rounds, cfg_seed,
-                                thread_grid[variant - 1]);
+        auto cfg = scale_config(clients, rounds,
+                                static_cast<std::uint64_t>(seed),
+                                thread_grid[cell.index % variants]);
         cfg.registry = cell.registry;
         return sim::ClientLevelSimulator(cfg).run().rounds;
       });
 
   bool identical = true;
   for (std::size_t si = 0; si < scales.size(); ++si) {
-    const auto& reference = sweep.value(si * variants);
+    const auto& serial = sweep.value(si * variants);
     for (std::size_t v = 1; v < variants; ++v) {
-      const auto& got = sweep.value(si * variants + v);
-      if (got != reference) {
+      if (sweep.value(si * variants + v) != serial) {
         identical = false;
         std::cerr << "BUG: N=" << scales[si] << " threads="
-                  << thread_grid[v - 1]
-                  << " diverges from the reference engine\n";
+                  << thread_grid[v] << " diverges from threads=1\n";
       }
     }
   }
 
-  // --- Timing: strictly serial (one engine at a time), so the wall-clock
-  // numbers are not polluted by sweep concurrency.  Each engine is timed
-  // --reps times and the minimum kept — the run is deterministic, so the
-  // minimum is the least-noise estimate of its true cost.
+  // --- Timing: strictly serial (one run at a time), so the wall-clock
+  // numbers are not polluted by sweep concurrency.  Each thread count is
+  // timed --reps times and the minimum kept — the run is deterministic, so
+  // the minimum is the least-noise estimate of its true cost.
   struct ScaleTiming {
     Count clients = 0;
-    double ref_s = 0.0;
     std::vector<double> soa_s;  // one per thread_grid entry
 
     [[nodiscard]] double best_soa_s() const {
       return *std::min_element(soa_s.begin(), soa_s.end());
-    }
-    [[nodiscard]] double speedup() const {
-      return best_soa_s() > 0.0 ? ref_s / best_soa_s() : 0.0;
     }
   };
   const int timing_reps = static_cast<int>(reps);
@@ -156,11 +142,6 @@ int run_bench(int argc, char** argv) {
   for (const Count clients : scales) {
     ScaleTiming t;
     t.clients = clients;
-    t.ref_s = timed_min([&] {
-      auto cfg =
-          scale_config(clients, rounds, static_cast<std::uint64_t>(seed), 1);
-      if (sim::ReferenceClientSimulator(cfg).run().rounds.empty()) std::abort();
-    });
     for (const Count threads : thread_grid) {
       t.soa_s.push_back(timed_min([&] {
         auto cfg = scale_config(clients, rounds,
@@ -174,14 +155,11 @@ int run_bench(int argc, char** argv) {
   util::Table table("Client-level simulator at scale — " +
                     std::to_string(rounds) +
                     " rounds, always-on bots (N/2000), MLE controller");
-  table.set_headers({"clients", "reference (s)", "SoA t=1 (s)", "SoA t=4 (s)",
-                     "SoA t=8 (s)", "best speedup"});
+  table.set_headers(
+      {"clients", "SoA t=1 (s)", "SoA t=4 (s)", "SoA t=8 (s)"});
   for (const auto& t : timings) {
-    table.add_row({util::fmt(t.clients), util::fmt(t.ref_s, 3),
-                   util::fmt(t.soa_s[0], 3), util::fmt(t.soa_s[1], 3),
-                   util::fmt(t.soa_s[2], 3),
-                   t.best_soa_s() > 0.0 ? util::fmt(t.speedup(), 1) + "x"
-                                        : "-"});
+    table.add_row({util::fmt(t.clients), util::fmt(t.soa_s[0], 3),
+                   util::fmt(t.soa_s[1], 3), util::fmt(t.soa_s[2], 3)});
   }
   table.print_with_csv();
 
@@ -194,17 +172,13 @@ int run_bench(int argc, char** argv) {
     out.set("bit_identical", identical);
     for (const auto& t : timings) {
       const std::string prefix = "n" + std::to_string(t.clients) + "_";
-      out.set(prefix + "ref_wall_s", t.ref_s);
       for (std::size_t i = 0; i < thread_grid.size(); ++i) {
         out.set(prefix + "soa_t" + std::to_string(thread_grid[i]) + "_wall_s",
                 t.soa_s[i]);
       }
-      out.set(prefix + "speedup", t.speedup());
     }
     out.set("clients", static_cast<std::int64_t>(head.clients));
-    out.set("ref_wall_s", head.ref_s);
     out.set("soa_best_wall_s", head.best_soa_s());
-    out.set("speedup_vs_reference", head.speedup());
     out.write(bench_json);
   }
 
@@ -214,14 +188,10 @@ int run_bench(int argc, char** argv) {
   metrics_export.write_if_requested([&] { return sweep.metrics; });
 
   if (!identical) return EXIT_FAILURE;
-  // Report only what ran: the largest scale and its measured speedup.  The
-  // >= 10x headline is claimed only when that scale is 10^6 and it held.
-  const bool headline = head.clients >= 1'000'000 && head.speedup() >= 10.0;
-  std::cout << "Reproduction check: SoA engine bit-identical to the "
-               "reference engine and across thread counts at every scale; "
-               "N=" << head.clients << " x " << rounds << " rounds ran "
-            << util::fmt(head.speedup(), 1) << "x faster than the reference"
-            << (headline ? " (>= 10x at N=10^6)." : ".") << std::endl;
+  std::cout << "Reproduction check: SoA engine bit-identical across thread "
+               "counts at every scale; N=" << head.clients << " x " << rounds
+            << " rounds ran in " << util::fmt(head.best_soa_s(), 3)
+            << " s." << std::endl;
   return 0;
 }
 

@@ -7,6 +7,8 @@
 #         -DFIG12=<fig12_migration_latency binary>
 #         -DFIG07=<fig07_mle_accuracy binary>
 #         -DMLE_SENSITIVITY=<abl_mle_sensitivity binary>
+#         -DADAPTIVE=<abl_adaptive_attackers binary>
+#         -DSTRATEGIES=<abl_attacker_strategies binary>
 #         -DFIG05=<fig05_dp_runtime binary>
 #         -DMICRO=<micro_algorithms binary>
 #         -P expect_bad_config.cmake
@@ -50,6 +52,10 @@ expect_exit_2("abl_mle_sensitivity: --replicas must be >= 2 (got 1)"
               ${MLE_SENSITIVITY} --replicas 1)
 expect_exit_2("abl_mle_sensitivity: --bots must be >= 1 (got 0)"
               ${MLE_SENSITIVITY} --bots 0 --reps 2)
+expect_exit_2("abl_adaptive_attackers: --replicas must be >= 2 (got 0)"
+              ${ADAPTIVE} --replicas 0)
+expect_exit_2("abl_attacker_strategies: --bots must be >= 1 (got 0)"
+              ${STRATEGIES} --bots 0)
 expect_exit_2("fig05_dp_runtime: --scaled-clients must be >= 20 (got 0)"
               ${FIG05} --scaled-clients 0)
 expect_exit_2("micro_algorithms: --bench-json <path> takes no other flags"

@@ -53,13 +53,14 @@ struct AlgorithmOnePlanner::Tables {
   Count clients = 0;
   Count bots = 0;
   double value = 0.0;
-  // assign_no[p][n][m] flattened; only filled when keep_argmax.
+  // assign_no[p][n][m] flattened for layers p = 2..P (layer 1 never
+  // splits, so it has no argmax); only filled when keep_argmax.
   std::vector<std::uint16_t> assign_no;
 
   [[nodiscard]] std::size_t idx(Count p, Count n, Count m) const {
     const auto stride_m = static_cast<std::size_t>(bots + 1);
     const auto stride_n = static_cast<std::size_t>(clients + 1) * stride_m;
-    return static_cast<std::size_t>(p - 1) * stride_n +
+    return static_cast<std::size_t>(p - 2) * stride_n +
            static_cast<std::size_t>(n) * stride_m + static_cast<std::size_t>(m);
   }
 };
@@ -106,7 +107,8 @@ AlgorithmOnePlanner::Tables AlgorithmOnePlanner::solve(
       static_cast<std::size_t>(N + 1) * static_cast<std::size_t>(M + 1);
   std::size_t need = 2 * layer_size * sizeof(double);
   if (keep_argmax) {
-    need += layer_size * static_cast<std::size_t>(P) * sizeof(std::uint16_t);
+    need +=
+        layer_size * static_cast<std::size_t>(P - 1) * sizeof(std::uint16_t);
   }
   if (need > options_.memory_limit_bytes) {
     throw std::invalid_argument(
@@ -118,7 +120,7 @@ AlgorithmOnePlanner::Tables AlgorithmOnePlanner::solve(
   t.clients = N;
   t.bots = M;
   if (keep_argmax) {
-    t.assign_no.assign(layer_size * static_cast<std::size_t>(P), kNoSplit);
+    t.assign_no.assign(layer_size * static_cast<std::size_t>(P - 1), kNoSplit);
   }
 
   auto cell = [&](std::vector<double>& layer, Count n, Count m) -> double& {

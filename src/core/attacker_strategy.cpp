@@ -208,16 +208,6 @@ void AttackerStrategy::decide(const StrategyContext& ctx,
   }
 }
 
-void AttackerStrategy::on_shuffled(const StrategyContext& ctx,
-                                   std::span<BotState> bots,
-                                   std::span<const std::uint8_t> present,
-                                   std::span<Count> away_out) const {
-  for (std::size_t i = 0; i < bots.size(); ++i) {
-    if (!present.empty() && present[i] == 0) continue;
-    away_out[i] = on_shuffled_one(ctx, bots[i]);
-  }
-}
-
 std::unique_ptr<AttackerStrategy> make_strategy(
     const std::string& name, const StrategyOptions& options) {
   options.validate();

@@ -40,11 +40,11 @@
 // Determinism contract: every bot carries its own `util::SmallRng`
 // substream (derived with `Rng::fork_small(bot_index)`), so a bot's
 // decisions depend only on its own state — never on the order bots are
-// visited in.  That is what lets engines shard the batched `decide` /
-// `on_shuffled` sweeps across threads with bit-identical results at every
-// thread count.  The five legacy behaviours reproduce the draw order of the
-// original `sim::BotBehavior` state machine exactly, so goldens captured
-// against the enum paths pin this registry bit-for-bit.
+// visited in.  That is what lets engines shard the batched `decide` and
+// per-bot `on_shuffled_one` sweeps across threads with bit-identical results
+// at every thread count.  The five legacy behaviours reproduce the draw
+// order of the original `sim::BotBehavior` state machine exactly, so goldens
+// captured against the enum paths pin this registry bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -131,9 +131,10 @@ struct StrategyOptions {
                                                     Count probes);
 
 /// Shared attacker policy.  One instance serves the whole botnet; engines
-/// call the batched span forms on their SoA columns (shardable across
-/// threads — per-bot streams make chunk boundaries irrelevant) and the
-/// scalar `_one` forms from per-agent code (reference engine, cloudsim).
+/// call the batched `decide` on their SoA columns (shardable across threads
+/// — per-bot streams make chunk boundaries irrelevant) and the scalar `_one`
+/// forms per bot (ClientLevelSimulator's sharded shuffle pass, ClientSwarm's
+/// migration hook, cloudsim's PersistentBot).
 class AttackerStrategy {
  public:
   /// on_shuffled_one return value meaning "the bot stays in the pool".
@@ -186,14 +187,6 @@ class AttackerStrategy {
   virtual void decide(const StrategyContext& ctx, std::span<BotState> bots,
                       std::span<const std::uint8_t> present,
                       std::span<std::uint8_t> active) const;
-
-  /// Batched shuffle reaction: for every i with present[i] != 0, writes
-  /// away_out[i] = on_shuffled_one(ctx, bots[i]); other entries are left
-  /// untouched.  An empty `present` span means "all present".
-  virtual void on_shuffled(const StrategyContext& ctx,
-                           std::span<BotState> bots,
-                           std::span<const std::uint8_t> present,
-                           std::span<Count> away_out) const;
 
   [[nodiscard]] const StrategyOptions& options() const { return options_; }
 

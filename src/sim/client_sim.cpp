@@ -94,7 +94,7 @@ struct SoaState {
   std::vector<Count> next_off, grp_m_off, grp_b_off;
   std::vector<Count> next_ids;
   std::vector<Count> stay_ids;
-  std::vector<Count> away_buf;  // on_shuffled results (kStays = bot stays)
+  std::vector<Count> away_buf;  // on_shuffled_one results (kStays = stays)
 
   void compact_arenas() {
     const auto dead =
@@ -349,7 +349,7 @@ ClientSimResult ClientLevelSimulator::run() {
   s.bot_arena.reserve(static_cast<std::size_t>(n_bots));
 
   // Pool starts as ids 0..N-1; bots occupy the tail ids, so the naive-bot
-  // drop (reference: erase_if) is a truncation to the benign prefix.
+  // drop is a truncation to the benign prefix.
   s.pool_ids.resize(static_cast<std::size_t>(n_total));
   std::iota(s.pool_ids.begin(), s.pool_ids.end(), Count{0});
   s.pool_bot_count = n_bots;
@@ -396,8 +396,8 @@ ClientSimResult ClientLevelSimulator::run() {
 
     // 2. Activity pass: one sharded batched-decide sweep over the per-bot
     //    columns (each bot draws from its own stream, so chunk boundaries
-    //    are irrelevant).  The reference engine visits present bots via the
-    //    pool and group membership lists; the stepped set is identical.
+    //    are irrelevant).  Exactly the present bots, in the pool or in a
+    //    saved group, are stepped.
     //    Always-active strategies draw nothing and mutate nothing, so their
     //    sweep degenerates to copying the present flags.
     const core::StrategyContext ctx{round, current_replicas};
@@ -430,8 +430,8 @@ ClientSimResult ClientLevelSimulator::run() {
     }
 
     // 3. Re-pollution: attacked flags per group in parallel (a group reads
-    //    only its bot slice), then serial application in creation order so
-    //    the pool append order matches the reference engine.
+    //    only its bot slice), then serial application in creation order:
+    //    the pool append order is part of what the recorded digests pin.
     if (!s.groups.empty()) {
       const auto ng = static_cast<std::int64_t>(s.groups.size());
       s.group_attacked.assign(s.groups.size(), 0);
@@ -528,7 +528,7 @@ ClientSimResult ClientLevelSimulator::run() {
 
         // Partition destinations (serial over P — cheap), then parallel
         // per-bucket copies into disjoint ranges: attacked buckets stay in
-        // the pool (in replica order, as the reference concatenates them),
+        // the pool (in replica order),
         // clean non-empty buckets become saved groups.
         s.next_off.assign(replica_count, 0);
         s.grp_m_off.assign(replica_count, 0);
@@ -597,10 +597,10 @@ ClientSimResult ClientLevelSimulator::run() {
             core::ShuffleObservation{decision.plan, std::move(attacked_flags)};
 
         // 5. Every pool bot witnessed a shuffle.  Strategies that react get
-        //    their on_shuffled pass (sharded; per-bot streams make chunk
+        //    their on_shuffled_one pass (sharded; per-bot streams make chunk
         //    order irrelevant); strategies that can depart additionally get
-        //    the away-list partition.  For everything else on_shuffled is a
-        //    stateless no-op that draws nothing, so the pass is skipped
+        //    the away-list partition.  For everything else on_shuffled_one is
+        //    a stateless no-op that draws nothing, so the pass is skipped
         //    outright.
         if (reacts && next_n > 0) {
           const core::StrategyContext shuffled_ctx{round, current_replicas};
@@ -641,8 +641,8 @@ ClientSimResult ClientLevelSimulator::run() {
       }
     }
 
-    // 6. Benign safety is an O(1) read of the running totals (the
-    //    reference engine rescans every saved client here).
+    // 6. Benign safety is an O(1) read of the running totals (no rescan of
+    //    the saved clients).
     metrics.benign_safe = s.saved_benign;
     metrics.saved_clients = s.arena_live;
 

@@ -30,9 +30,9 @@
 // chunk boundaries that depend only on the data, and every random draw comes
 // from either the serial shuffle stream or a per-bot `util::SmallRng` fork —
 // so results are bit-identical at every thread count (EXPECT_EQ, enforced by
-// tests/sim/client_sim_golden_test.cpp).  `ReferenceClientSimulator`
-// (client_sim_reference.h) keeps the original array-of-structs serial engine
-// as a differential baseline.
+// tests/sim/client_sim_golden_test.cpp).  The same test pins the engine to
+// round-by-round goldens and recorded digests of the original
+// array-of-structs serial engine, which it replaced.
 #pragma once
 
 #include <cstdint>

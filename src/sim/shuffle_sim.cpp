@@ -4,11 +4,9 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
-#include "core/attacker_strategy.h"
 #include "obs/registry.h"
 #include "obs/span.h"
 
@@ -21,8 +19,8 @@ namespace {
 constexpr std::array<double, 7> kSavedBounds = {
     0.0, 10.0, 100.0, 1000.0, 10000.0, 100000.0, 1000000.0};
 
-// Metric handles shared by both engines (eager creation: the snapshot schema
-// is stable even for metrics that stay zero this run).
+// Metric handles of a run (eager creation: the snapshot schema is stable
+// even for metrics that stay zero this run).
 struct SimMetrics {
   obs::Counter rounds_seen;
   obs::Counter rounds_executed;
@@ -69,9 +67,6 @@ std::vector<std::string> ShuffleSimConfig::validate() const {
   std::vector<std::string> violations;
   for (auto& v : benign.violations("benign.")) violations.push_back(std::move(v));
   for (auto& v : bots.violations("bots.")) violations.push_back(std::move(v));
-  for (auto& v : strategy.violations("strategy.")) {
-    violations.push_back(std::move(v));
-  }
   for (auto& v : controller.violations("controller.")) {
     violations.push_back(std::move(v));
   }
@@ -104,19 +99,6 @@ ShuffleSimulator::ShuffleSimulator(ShuffleSimConfig config)
 }
 
 ShuffleSimResult ShuffleSimulator::run() {
-  // Always-on bots (always active, never react to shuffles, follow
-  // redirects) carry no per-bot state, so the legacy count-based engine is
-  // exact for them and stays bit-identical to the pre-registry simulator.
-  // Every other strategy needs per-bot tracking.
-  const std::unique_ptr<core::AttackerStrategy> probe = config_.strategy.make();
-  if (probe->always_active() && !probe->reacts_to_shuffle() &&
-      probe->follows_redirects()) {
-    return run_counts();
-  }
-  return run_tracked();
-}
-
-ShuffleSimResult ShuffleSimulator::run_counts() {
   // Each run records into a private registry unless the caller scoped one
   // in, so the final snapshot covers exactly this run and fixed-seed runs
   // are bit-identical (modulo span wall-clock durations — see
@@ -174,7 +156,6 @@ ShuffleSimResult ShuffleSimulator::run_counts() {
       stats.bot_estimate = controller.bot_estimate();
       stats.cumulative_saved = cumulative_saved;
       stats.faulted = true;
-      stats.active_bots = pool_bots;
       result.rounds.push_back(stats);
       metrics.rounds_faulted.inc();
       metrics.longest_outage.max_with(static_cast<std::int64_t>(++outage_run));
@@ -207,7 +188,6 @@ ShuffleSimResult ShuffleSimulator::run_counts() {
       stats.replicas = decision.replicas;
       stats.bot_estimate = decision.bot_estimate;
       stats.cumulative_saved = cumulative_saved;
-      stats.active_bots = pool_bots;
       stats.declined = true;
       result.rounds.push_back(stats);
       metrics.rounds_declined.inc();
@@ -224,7 +204,6 @@ ShuffleSimResult ShuffleSimulator::run_counts() {
     stats.pool_bots = pool_bots;
     stats.replicas = decision.replicas;
     stats.bot_estimate = decision.bot_estimate;
-    stats.active_bots = pool_bots;  // always-on: every pool bot attacks
 
     std::vector<bool> attacked(decision.plan.replica_count(), false);
     Count saved = 0;
@@ -253,297 +232,6 @@ ShuffleSimResult ShuffleSimulator::run_counts() {
     }
     if (pool_benign == 0 && benign_arrivals.exhausted()) {
       break;  // no benign client left to save
-    }
-  }
-  run_span.reset();
-  result.saved_total = cumulative_saved;
-  result.metrics = registry->snapshot();
-  return result;
-}
-
-ShuffleSimResult ShuffleSimulator::run_tracked() {
-  obs::Registry local_registry;
-  obs::Registry* registry =
-      config_.registry != nullptr ? config_.registry : &local_registry;
-  SimMetrics metrics(registry);
-
-  const std::unique_ptr<core::AttackerStrategy> strategy =
-      config_.strategy.make();
-  const bool naive = !strategy->follows_redirects();
-  const bool always_active = strategy->always_active();
-  const bool reacts = strategy->reacts_to_shuffle();
-
-  util::Rng root(config_.seed);
-  ArrivalProcess benign_arrivals(config_.benign, root.fork(1));
-  ArrivalProcess bot_arrivals(config_.bots, root.fork(2));
-  util::Rng placement_rng = root.fork(3);
-  util::Rng fault_rng = root.fork(4);
-  // Per-bot behavior streams fork from their own root substream, so the
-  // shuffle dynamics for a seed are unchanged relative to the count engine
-  // and bot b's draws do not depend on arrival interleaving.
-  util::Rng behavior_rng = root.fork(5);
-
-  core::ControllerConfig controller_config = config_.controller;
-  controller_config.registry = registry;
-  core::ShuffleController controller(std::move(controller_config));
-
-  ShuffleSimResult result;
-  result.benign_total = config_.benign.total_cap;
-  const auto target = static_cast<Count>(std::ceil(
-      config_.target_fraction * static_cast<double>(result.benign_total)));
-
-  // Benign clients stay anonymous counts; bots are tracked individually so
-  // dormant ones can ride a clean bucket into a saved group and later wake
-  // up, and quit/churn ones can leave and re-enter.
-  struct SavedGroup {
-    Count benign = 0;
-    std::vector<Count> bots;  // dormant bots saved with the group
-  };
-  struct AwayBot {
-    Count bot = 0;
-    Count rounds_left = 0;
-  };
-
-  std::vector<core::BotState> states;      // indexed by bot id (arrival order)
-  std::vector<Count> pool_bot_ids;         // bots currently in the pool
-  std::vector<SavedGroup> saved_groups;    // clean, non-shuffling replicas
-  std::vector<AwayBot> away;               // bots currently outside
-  std::vector<std::uint8_t> active;        // per-bot activity, this round
-  std::vector<Count> active_ids;           // scratch: active pool bots
-  std::vector<Count> dormant_ids;          // scratch: dormant pool bots
-
-  Count pool_benign = 0;
-  Count cumulative_saved = 0;
-  Count recorded_rounds = 0;
-  Count outage_run = 0;
-  Count current_replicas = 0;  // as visible to scanning bots; 0 pre-shuffle
-  std::optional<core::ShuffleObservation> prev_obs;
-
-  std::optional<obs::Span> run_span;
-  run_span.emplace(registry, "sim.run");
-  for (Count round = 1; round <= config_.max_rounds; ++round) {
-    // 1. Arrivals.  Naive (hit-list) bots never learn the shuffled replicas'
-    //    addresses, so they contribute nothing after the first server
-    //    replacement and are dropped on arrival (as in ClientLevelSimulator).
-    pool_benign += benign_arrivals.next_round();
-    const Count new_bots = bot_arrivals.next_round();
-    for (Count k = 0; k < new_bots; ++k) {
-      const auto b = static_cast<Count>(states.size());
-      states.emplace_back(
-          behavior_rng.fork_small(static_cast<std::uint64_t>(b)));
-      if (!naive) pool_bot_ids.push_back(b);
-    }
-
-    // 2. Away bots tick down; returning bots rejoin the shuffling pool (the
-    //    count engine has no per-replica sticky records, so a fresh-IP vs
-    //    known-IP return is indistinguishable here).
-    for (auto it = away.begin(); it != away.end();) {
-      if (--it->rounds_left > 0) {
-        ++it;
-        continue;
-      }
-      pool_bot_ids.push_back(it->bot);
-      it = away.erase(it);
-    }
-
-    // 3. Every present bot decides whether it attacks this round.
-    const core::StrategyContext ctx{round, current_replicas};
-    active.assign(states.size(), 0);
-    const auto decide = [&](Count b) {
-      active[static_cast<std::size_t>(b)] =
-          always_active ? std::uint8_t{1}
-                        : (strategy->decide_one(
-                               ctx, states[static_cast<std::size_t>(b)])
-                               ? std::uint8_t{1}
-                               : std::uint8_t{0});
-    };
-    for (const Count b : pool_bot_ids) decide(b);
-    for (const auto& g : saved_groups) {
-      for (const Count b : g.bots) decide(b);
-    }
-
-    // 4. Saved groups with a waking bot are re-polluted: the replica is
-    //    attacked, so its whole population rejoins the shuffling pool.
-    Count repolluted = 0;
-    for (auto it = saved_groups.begin(); it != saved_groups.end();) {
-      const bool woke = std::any_of(it->bots.begin(), it->bots.end(),
-                                    [&](Count b) {
-                                      return active[static_cast<std::size_t>(
-                                                 b)] != 0;
-                                    });
-      if (woke) {
-        repolluted += it->benign;
-        pool_benign += it->benign;
-        cumulative_saved -= it->benign;
-        pool_bot_ids.insert(pool_bot_ids.end(), it->bots.begin(),
-                            it->bots.end());
-        it = saved_groups.erase(it);
-      } else {
-        ++it;
-      }
-    }
-
-    const Count pool_bots = static_cast<Count>(pool_bot_ids.size());
-    const Count pool = pool_benign + pool_bots;
-    if (pool == 0) {
-      const bool saved_bots_left = std::any_of(
-          saved_groups.begin(), saved_groups.end(),
-          [](const SavedGroup& g) { return !g.bots.empty(); });
-      if (benign_arrivals.exhausted() && bot_arrivals.exhausted() &&
-          away.empty() && !saved_bots_left) {
-        break;  // nothing can ever re-enter the pool
-      }
-      continue;  // wait for arrivals / returning / waking bots
-    }
-
-    const obs::Span round_span(registry, "round");
-    metrics.rounds_seen.inc();
-
-    Count active_pool_bots = 0;
-    for (const Count b : pool_bot_ids) {
-      if (active[static_cast<std::size_t>(b)] != 0) ++active_pool_bots;
-    }
-
-    RoundStats stats;
-    stats.round = ++recorded_rounds;
-    stats.pool_benign = pool_benign;
-    stats.pool_bots = pool_bots;
-    stats.active_bots = active_pool_bots;
-    stats.repolluted = repolluted;
-    stats.cumulative_saved = cumulative_saved;
-
-    if (config_.round_failure_prob > 0.0 &&
-        fault_rng.uniform() < config_.round_failure_prob) {
-      // Control-plane outage: the shuffle command never executes, but the
-      // attacker side of the round (activity, re-pollution) already ran.
-      stats.bot_estimate = controller.bot_estimate();
-      stats.faulted = true;
-      result.rounds.push_back(stats);
-      metrics.rounds_faulted.inc();
-      metrics.longest_outage.max_with(static_cast<std::int64_t>(++outage_run));
-      continue;
-    }
-    outage_run = 0;
-
-    if (!config_.controller.use_mle) {
-      const double biased =
-          static_cast<double>(pool_bots) * config_.oracle_bias;
-      controller.set_bot_estimate(
-          std::clamp<Count>(static_cast<Count>(std::llround(biased)), 0, pool));
-    } else if (!prev_obs.has_value()) {
-      const Count seed_estimate = config_.initial_bot_estimate > 0
-                                      ? config_.initial_bot_estimate
-                                      : std::max<Count>(1, pool / 10);
-      controller.set_bot_estimate(std::min(seed_estimate, pool));
-    }
-
-    const auto decision = controller.decide(pool, prev_obs);
-    stats.replicas = decision.replicas;
-    stats.bot_estimate = decision.bot_estimate;
-
-    if (!decision.execute) {
-      // Cost-aware decline: the defense holds the current placement; the
-      // previous observation carries over.
-      stats.declined = true;
-      result.rounds.push_back(stats);
-      metrics.rounds_declined.inc();
-      continue;
-    }
-    current_replicas = decision.replicas;
-
-    // 5. Place the pool across the plan's buckets.  Only the bots' positions
-    //    matter: draw the active bots' bucket counts first, then the dormant
-    //    bots' over the remaining capacity (together an exact uniform
-    //    placement), and shuffle dormant identities across their slots.
-    for (const Count b : pool_bot_ids) {
-      if (active[static_cast<std::size_t>(b)] != 0) {
-        active_ids.push_back(b);
-      } else {
-        dormant_ids.push_back(b);
-      }
-    }
-    const auto active_per_bucket = placement_rng.multivariate_hypergeometric(
-        decision.plan.counts(), static_cast<Count>(active_ids.size()));
-    std::vector<Count> remaining = decision.plan.counts();
-    for (std::size_t i = 0; i < remaining.size(); ++i) {
-      remaining[i] -= active_per_bucket[i];
-    }
-    const auto dormant_per_bucket = placement_rng.multivariate_hypergeometric(
-        remaining, static_cast<Count>(dormant_ids.size()));
-    placement_rng.shuffle(dormant_ids);
-
-    std::vector<bool> attacked(decision.plan.replica_count(), false);
-    Count saved_benign = 0;
-    std::vector<Count> next_pool_bots = std::move(active_ids);
-    active_ids = {};
-    std::size_t dcursor = 0;
-    for (std::size_t i = 0; i < decision.plan.replica_count(); ++i) {
-      const auto d = static_cast<std::size_t>(dormant_per_bucket[i]);
-      if (active_per_bucket[i] > 0) {
-        attacked[i] = true;
-        ++stats.attacked_replicas;
-        // Attacked bucket: everyone (benign counts implicitly, dormant bots
-        // explicitly) stays in the shuffling pool.
-        for (std::size_t k = 0; k < d; ++k) {
-          next_pool_bots.push_back(dormant_ids[dcursor++]);
-        }
-      } else {
-        // Clean bucket: becomes a non-shuffling replica.  Dormant bots that
-        // happened to sit here are "saved" too — until they wake.
-        SavedGroup group;
-        group.bots.reserve(d);
-        for (std::size_t k = 0; k < d; ++k) {
-          group.bots.push_back(dormant_ids[dcursor++]);
-        }
-        group.benign = decision.plan[i] - static_cast<Count>(d);
-        saved_benign += group.benign;
-        if (group.benign > 0 || !group.bots.empty()) {
-          saved_groups.push_back(std::move(group));
-        }
-      }
-    }
-    dormant_ids.clear();
-
-    // 6. Every pool bot witnessed a shuffle; reacting strategies may mutate
-    //    state and departing ones may leave for the away list.
-    if (reacts) {
-      const core::StrategyContext shuffled_ctx{round, current_replicas};
-      std::vector<Count> staying;
-      staying.reserve(next_pool_bots.size());
-      for (const Count b : next_pool_bots) {
-        const Count away_rounds = strategy->on_shuffled_one(
-            shuffled_ctx, states[static_cast<std::size_t>(b)]);
-        if (away_rounds >= 0) {
-          away.push_back({b, away_rounds});
-        } else {
-          staying.push_back(b);
-        }
-      }
-      next_pool_bots = std::move(staying);
-    }
-    pool_bot_ids = std::move(next_pool_bots);
-
-    pool_benign -= saved_benign;
-    cumulative_saved += saved_benign;
-    stats.saved = saved_benign;
-    stats.cumulative_saved = cumulative_saved;
-    result.rounds.push_back(stats);
-    metrics.rounds_executed.inc();
-    metrics.saved_counter.inc(static_cast<std::uint64_t>(saved_benign));
-    metrics.saved_hist.observe(static_cast<double>(saved_benign));
-
-    prev_obs = core::ShuffleObservation{decision.plan, std::move(attacked)};
-
-    if (result.benign_total > 0 && cumulative_saved >= target) {
-      result.reached_target = true;
-      break;
-    }
-    const bool benign_can_return = std::any_of(
-        saved_groups.begin(), saved_groups.end(),
-        [](const SavedGroup& g) { return g.benign > 0 && !g.bots.empty(); });
-    if (pool_benign == 0 && benign_arrivals.exhausted() &&
-        !benign_can_return) {
-      break;  // no benign client left to save, none can be re-polluted
     }
   }
   run_span.reset();

@@ -1,8 +1,10 @@
 // Count-based shuffle simulator: the engine behind Figures 8, 9 and 10.
 //
-// Individual client identities are irrelevant to the saved-count dynamics —
-// only how many benign clients and bots remain in the shuffling pool — so
-// each round is simulated in O(P * sqrt(bots-per-replica)):
+// Bots are always on (the paper's main threat model: every bot attacks
+// every round and follows every redirect), so individual client identities
+// are irrelevant to the saved-count dynamics — only how many benign clients
+// and bots remain in the shuffling pool — and each round is simulated in
+// O(P * sqrt(bots-per-replica)):
 //
 //   1. new benign clients / bots arrive (Poisson, capped totals);
 //   2. the ShuffleController picks an assignment plan (MLE -> planner);
@@ -14,6 +16,9 @@
 // Per the paper, replicas that are no longer attacked stop shuffling and
 // fresh replicas keep the shuffling-replica count constant, which is
 // exactly what re-planning over the remaining pool each round models.
+//
+// Stateful adversaries (dormant, quitting, churning or re-scanning bots)
+// need per-client state; they run in sim::ClientLevelSimulator.
 //
 // Observability: every run records into an obs::Registry — its own private
 // one by default, or an externally scoped one via ShuffleSimConfig::registry
@@ -32,7 +37,6 @@
 #include "core/types.h"
 #include "obs/snapshot.h"
 #include "sim/arrival.h"
-#include "sim/strategy.h"
 
 namespace shuffledef::obs {
 class Registry;
@@ -58,14 +62,6 @@ inline constexpr std::string_view kMetricSimSavedPerRound =
 struct ShuffleSimConfig {
   ArrivalConfig benign;
   ArrivalConfig bots;
-  /// Which adversary the bot population runs (a core::AttackerStrategy
-  /// registry name plus its options).  The default "always-on" keeps the
-  /// legacy count-based fast path (bit-identical to the pre-registry
-  /// engine); any other strategy switches to a per-bot tracked engine in
-  /// which dormant bots can be "saved" onto clean replicas and later
-  /// re-pollute them, quit/churn bots leave and re-enter, and
-  /// coupon-collector bots re-scan for replicas after each shuffle.
-  StrategyParams strategy;
   core::ControllerConfig controller;
   /// When use_mle is off, the controller is fed the true bot-pool size each
   /// round (oracle mode) scaled by this factor (sensitivity ablations).
@@ -104,8 +100,6 @@ struct RoundStats {
   Count saved = 0;              // benign saved by this shuffle
   Count cumulative_saved = 0;
   bool faulted = false;         // round lost to an injected control failure
-  Count active_bots = 0;        // pool bots actually attacking this round
-  Count repolluted = 0;         // benign dragged back by waking dormant bots
   bool declined = false;        // cost-aware controller skipped the shuffle
 };
 
@@ -133,9 +127,6 @@ class ShuffleSimulator {
   [[nodiscard]] ShuffleSimResult run();
 
  private:
-  [[nodiscard]] ShuffleSimResult run_counts();   // always-on fast path
-  [[nodiscard]] ShuffleSimResult run_tracked();  // per-bot strategy path
-
   ShuffleSimConfig config_;
 };
 

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+
 #include "core/greedy_planner.h"
 #include "core/separable_dp.h"
 
@@ -109,6 +112,25 @@ TEST(AlgorithmOne, MemoryGuardThrows) {
   AlgorithmOneOptions tiny;
   tiny.memory_limit_bytes = 1024;
   EXPECT_THROW((void)AlgorithmOnePlanner(tiny).value({500, 100, 20}),
+               std::invalid_argument);
+}
+
+// The argmax table has one layer per p = 2..P (layer 1 never splits), and
+// the guard charges exactly that: two (N+1)(M+1) value layers of doubles
+// plus P - 1 argmax layers of uint16.
+TEST(AlgorithmOne, MemoryGuardChargesOnlyTheArgmaxLayersItUses) {
+  const ShuffleProblem problem{40, 5, 2};
+  constexpr std::size_t kLayer = 41 * 6;
+  constexpr std::size_t kNeed = 2 * kLayer * sizeof(double) +
+                                (2 - 1) * kLayer * sizeof(std::uint16_t);
+  static_assert(kNeed == 4428);
+  AlgorithmOneOptions exact_fit;
+  exact_fit.memory_limit_bytes = kNeed;
+  EXPECT_EQ(AlgorithmOnePlanner(exact_fit).plan(problem).counts(),
+            AlgorithmOnePlanner().plan(problem).counts());
+  AlgorithmOneOptions one_short;
+  one_short.memory_limit_bytes = kNeed - 1;
+  EXPECT_THROW((void)AlgorithmOnePlanner(one_short).plan(problem),
                std::invalid_argument);
 }
 

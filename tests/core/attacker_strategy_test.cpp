@@ -198,7 +198,7 @@ TEST(StrategyOptionsValidation, AllViolationsReportedAtOnceWithPrefix) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched forms: chunk splits and present masks must not change anything.
+// Batched decide: chunk splits and present masks must not change anything.
 // ---------------------------------------------------------------------------
 
 std::vector<BotState> make_bots(std::size_t n, std::uint64_t seed) {
@@ -262,20 +262,6 @@ TEST(AttackerStrategyBatched, AbsentEntriesAreLeftUntouched) {
                 strategy->decide_one(ctx, mirror[b]))
           << b;
     }
-  }
-}
-
-TEST(AttackerStrategyBatched, OnShuffledMatchesScalarCalls) {
-  const auto strategy = make_strategy("churn");
-  constexpr std::size_t kBots = 41;
-  auto batched = make_bots(kBots, 5);
-  auto scalar = make_bots(kBots, 5);
-  const StrategyContext ctx{9, 6};
-  std::vector<Count> away_batched(kBots, -2);
-  strategy->on_shuffled(ctx, batched, {}, away_batched);
-  for (std::size_t b = 0; b < kBots; ++b) {
-    EXPECT_EQ(away_batched[b], strategy->on_shuffled_one(ctx, scalar[b])) << b;
-    EXPECT_EQ(batched[b].flags, scalar[b].flags) << b;
   }
 }
 

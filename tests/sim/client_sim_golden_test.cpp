@@ -1,23 +1,28 @@
 // Golden regression battery for the client-level engine.
 //
-// The round-by-round ClientRoundMetrics below were captured from
-// ReferenceClientSimulator (the frozen pre-SoA engine, see
-// client_sim_reference.h) at a fixed seed and are asserted EXACT-equal
-// against the production SoA engine — every field, every round, every
-// strategy.  For always-on, naive and synchronized-waves the numbers are
-// also bit-identical to the original seed engine (those strategies draw
+// The round-by-round ClientRoundMetrics below were captured from the frozen
+// pre-SoA array-of-structs engine at a fixed seed and are asserted
+// EXACT-equal against the production SoA engine — every field, every round,
+// every strategy.  For always-on, naive and synchronized-waves the numbers
+// are also bit-identical to the original seed engine (those strategies draw
 // nothing from the behavior RNG, so the move to per-bot streams cannot and
 // does not change them); for on-off and quit-reenter the per-bot streams
 // change the individual draws (not their distribution), so those rows were
-// re-captured from the reference engine at the refactor boundary.
+// re-captured from that engine at the refactor boundary.  That engine is
+// gone; its answers on thirteen further configs survive as the recorded
+// digests of MatchesReferenceEngineOnFreshConfigs.
 //
 // The thread-identity tests then pin the sharding contract: the full result
 // (rounds and the deterministic view of the metrics snapshot) is EXPECT_EQ
 // across threads 1, 4 and 8.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "sim/client_sim.h"
-#include "sim/client_sim_reference.h"
 
 namespace shuffledef::sim {
 namespace {
@@ -374,39 +379,101 @@ TEST(ClientSimGolden, ThreadCountsAreBitIdentical) {
   }
 }
 
-// Differential against the frozen reference engine on configs *other* than
-// the pinned golden one (different population, replica count and seed), so
-// the SoA engine cannot overfit the golden scenario.
-TEST(ClientSimGolden, MatchesReferenceEngineOnFreshConfigs) {
-  for (const char* strategy : {"always-on", "on-off", "quit-reenter",
-                               "naive", "synchronized-waves"}) {
-    for (const std::uint64_t seed : {31ull, 1234ull}) {
-      ClientSimConfig cfg;
-      cfg.benign = 1700;
-      cfg.bots = 90;
-      cfg.strategy.strategy = strategy;
-      cfg.strategy.options.on_probability = 0.55;
-      cfg.strategy.options.quit_probability = 0.45;
-      cfg.strategy.options.reenter_delay = 3;
-      cfg.strategy.options.new_ip_probability = 0.7;
-      cfg.strategy.options.wave_period = 4;
-      cfg.strategy.options.wave_duty = 0.4;
-      cfg.controller.planner = "greedy";
-      cfg.controller.replicas = 48;
-      cfg.controller.use_mle = (seed % 2) == 0;
-      cfg.rounds = 50;
-      cfg.seed = seed;
-      const auto ref = ReferenceClientSimulator(cfg).run();
-      cfg.threads = 3;
-      cfg.audit = true;
-      const auto soa = ClientLevelSimulator(cfg).run();
-      SCOPED_TRACE(std::string(strategy) + " seed " +
-                   std::to_string(seed));
-      ASSERT_EQ(ref.rounds.size(), soa.rounds.size());
-      for (std::size_t i = 0; i < ref.rounds.size(); ++i) {
-        EXPECT_EQ(ref.rounds[i], soa.rounds[i]) << "round " << i + 1;
-      }
+// FNV-1a-64 over every ClientRoundMetrics field of every round, each as 8
+// little-endian bytes (shuffle_declined as 0 or 1).
+std::uint64_t rounds_digest(const std::vector<ClientRoundMetrics>& rounds) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::int64_t v) {
+    const auto u = static_cast<std::uint64_t>(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (u >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ULL;
     }
+  };
+  for (const auto& r : rounds) {
+    for (const Count v : {r.round, r.pool_clients, r.pool_bots,
+                          r.active_attackers, r.benign_safe,
+                          r.repolluted_benign, r.away_bots,
+                          r.attacked_replicas, r.saved_clients}) {
+      mix(v);
+    }
+    mix(r.shuffle_declined ? 1 : 0);
+  }
+  return h;
+}
+
+// Differential against the frozen pre-SoA engine on configs *other* than
+// the pinned golden one (different population, replica count and seed), so
+// the SoA engine cannot overfit the golden scenario, plus the three
+// always-on scale configs of bench/abl_client_scale.  The digests were
+// recorded from that engine, which the SoA engine matched on all thirteen
+// when it was deleted.
+TEST(ClientSimGolden, MatchesReferenceEngineOnFreshConfigs) {
+  struct Fresh {
+    const char* strategy;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  constexpr Fresh kFresh[] = {
+      {"always-on", 31, 0xbc22aee9869f073aULL},
+      {"always-on", 1234, 0xf40c8aa2fd1c0a00ULL},
+      {"on-off", 31, 0x55eaeb599a3e60e6ULL},
+      {"on-off", 1234, 0x69c60060890c5ac5ULL},
+      {"quit-reenter", 31, 0xd5e256a01702ce0bULL},
+      {"quit-reenter", 1234, 0xa27316b4cd7305b3ULL},
+      {"naive", 31, 0x1d74351231fd3f90ULL},
+      {"naive", 1234, 0x1d74351231fd3f90ULL},
+      {"synchronized-waves", 31, 0x09354ccfc9b1cecbULL},
+      {"synchronized-waves", 1234, 0xb5f315b8ca030b8dULL},
+  };
+  for (const auto& f : kFresh) {
+    ClientSimConfig cfg;
+    cfg.benign = 1700;
+    cfg.bots = 90;
+    cfg.strategy.strategy = f.strategy;
+    cfg.strategy.options.on_probability = 0.55;
+    cfg.strategy.options.quit_probability = 0.45;
+    cfg.strategy.options.reenter_delay = 3;
+    cfg.strategy.options.new_ip_probability = 0.7;
+    cfg.strategy.options.wave_period = 4;
+    cfg.strategy.options.wave_duty = 0.4;
+    cfg.controller.planner = "greedy";
+    cfg.controller.replicas = 48;
+    cfg.controller.use_mle = (f.seed % 2) == 0;
+    cfg.rounds = 50;
+    cfg.seed = f.seed;
+    cfg.threads = 3;
+    cfg.audit = true;
+    const auto soa = ClientLevelSimulator(cfg).run();
+    SCOPED_TRACE(std::string(f.strategy) + " seed " + std::to_string(f.seed));
+    ASSERT_EQ(soa.rounds.size(), 50u);
+    EXPECT_EQ(rounds_digest(soa.rounds), f.digest);
+  }
+
+  struct Scale {
+    Count clients;
+    std::uint64_t digest;
+  };
+  constexpr Scale kScale[] = {
+      {10000, 0x6718e1df36a811d8ULL},
+      {100000, 0x336f4e870f9def1fULL},
+      {1000000, 0xdda07bf80c1101c1ULL},
+  };
+  for (const auto& s : kScale) {
+    ClientSimConfig cfg;
+    cfg.bots = std::max<Count>(10, s.clients / 2000);
+    cfg.benign = s.clients - cfg.bots;
+    cfg.strategy.strategy = "always-on";
+    cfg.controller.planner = "greedy";
+    cfg.controller.replicas = std::max<Count>(50, 2 * cfg.bots);
+    cfg.controller.use_mle = true;
+    cfg.rounds = 50;
+    cfg.seed = 5;
+    cfg.threads = 1;
+    const auto soa = ClientLevelSimulator(cfg).run();
+    SCOPED_TRACE("scale " + std::to_string(s.clients));
+    ASSERT_EQ(soa.rounds.size(), 50u);
+    EXPECT_EQ(rounds_digest(soa.rounds), s.digest);
   }
 }
 

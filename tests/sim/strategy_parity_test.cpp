@@ -1,9 +1,9 @@
-// Cross-simulator contract of the shared attacker-strategy registry: both
-// round-based engines (the per-client ClientLevelSimulator and the
-// count-based/tracked ShuffleSimulator) run the same named strategy through
-// core::make_strategy, so the *delivered* attack intensity they simulate
-// must agree statistically for a matched population — and the cost-aware
-// controller must decline unprofitable rounds identically in both.
+// Strategy contract of the round-based engines.  Every named strategy runs
+// in the per-client ClientLevelSimulator through core::make_strategy, so the
+// *delivered* attack intensity it simulates must follow the strategy's law.
+// The count-based ShuffleSimulator models always-on bots only; both engines
+// must saturate on those, and the cost-aware controller must decline
+// unprofitable rounds identically in both.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -17,25 +17,13 @@ namespace shuffledef::sim {
 namespace {
 
 // Conditional per-round activity ratio: of the bots present in the shuffling
-// pool, what fraction attacked?  Declined/faulted rounds are excluded (the
-// count engine reports every pool bot as active on those).
+// pool, what fraction attacked?  Declined rounds are excluded.
 double client_activity_ratio(const ClientSimResult& result) {
   double active = 0.0;
   double bots = 0.0;
   for (const auto& r : result.rounds) {
     if (r.shuffle_declined || r.pool_bots <= 0) continue;
     active += static_cast<double>(r.active_attackers);
-    bots += static_cast<double>(r.pool_bots);
-  }
-  return bots > 0.0 ? active / bots : 0.0;
-}
-
-double shuffle_activity_ratio(const ShuffleSimResult& result) {
-  double active = 0.0;
-  double bots = 0.0;
-  for (const auto& r : result.rounds) {
-    if (r.declined || r.faulted || r.pool_bots <= 0) continue;
-    active += static_cast<double>(r.active_bots);
     bots += static_cast<double>(r.pool_bots);
   }
   return bots > 0.0 ? active / bots : 0.0;
@@ -53,11 +41,10 @@ ClientSimConfig client_config(const std::string& strategy) {
   return config;
 }
 
-ShuffleSimConfig shuffle_config(const std::string& strategy) {
+ShuffleSimConfig shuffle_config() {
   ShuffleSimConfig config;
   config.benign = {.initial = 2000, .rate = 0.0, .total_cap = 2000};
   config.bots = {.initial = 200, .rate = 0.0, .total_cap = 200};
-  config.strategy.strategy = strategy;
   config.controller.replicas = 10;
   config.target_fraction = 1.0;
   config.max_rounds = 80;
@@ -68,48 +55,38 @@ ShuffleSimConfig shuffle_config(const std::string& strategy) {
 TEST(CrossSimulatorParity, OnOffIntensityMatchesTheProbabilityInBothEngines) {
   auto client = client_config("on-off");
   client.strategy.options.on_probability = 0.3;
-  auto shuffle = shuffle_config("on-off");
-  shuffle.strategy.options.on_probability = 0.3;
 
   const auto client_result = ClientLevelSimulator(client).run();
-  const auto shuffle_result = ShuffleSimulator(shuffle).run();
 
-  const double rc = client_activity_ratio(client_result);
-  const double rs = shuffle_activity_ratio(shuffle_result);
   // Every present on-off bot flips an independent Bernoulli(0.3) coin per
   // round, regardless of pool dynamics — so the conditional activity ratio
-  // estimates 0.3 in both engines, and the engines estimate each other.
-  EXPECT_NEAR(rc, 0.3, 0.04);
-  EXPECT_NEAR(rs, 0.3, 0.04);
-  EXPECT_NEAR(rc, rs, 0.05);
+  // estimates 0.3.
+  EXPECT_NEAR(client_activity_ratio(client_result), 0.3, 0.04);
 }
 
 TEST(CrossSimulatorParity, CouponCollectorIntensityAgreesAcrossEngines) {
   auto client = client_config("coupon-collector");
   client.strategy.options.probes_per_round = 2;
-  auto shuffle = shuffle_config("coupon-collector");
-  shuffle.strategy.options.probes_per_round = 2;
 
   const auto client_result = ClientLevelSimulator(client).run();
-  const auto shuffle_result = ShuffleSimulator(shuffle).run();
 
-  const double rc = client_activity_ratio(client_result);
-  const double rs = shuffle_activity_ratio(shuffle_result);
   // Scanning bots spend rediscovery time dark, so the delivered intensity
-  // sits strictly inside (0, 1); the engines must agree on where.
+  // sits strictly inside (0, 1).
+  const double rc = client_activity_ratio(client_result);
   EXPECT_GT(rc, 0.05);
   EXPECT_LT(rc, 1.0);
-  EXPECT_GT(rs, 0.05);
-  EXPECT_LT(rs, 1.0);
-  EXPECT_NEAR(rc, rs, 0.15);
 }
 
 TEST(CrossSimulatorParity, AlwaysOnSaturatesBothEngines) {
   const auto client_result =
       ClientLevelSimulator(client_config("always-on")).run();
-  const auto shuffle_result = ShuffleSimulator(shuffle_config("always-on")).run();
+  const auto shuffle_result = ShuffleSimulator(shuffle_config()).run();
   EXPECT_DOUBLE_EQ(client_activity_ratio(client_result), 1.0);
-  EXPECT_DOUBLE_EQ(shuffle_activity_ratio(shuffle_result), 1.0);
+  // Every always-on bot attacks every round, so every bucket that holds a
+  // bot is attacked and no bot ever leaves the shuffling pool.
+  for (const auto& r : client_result.rounds) EXPECT_EQ(r.pool_bots, 200);
+  ASSERT_FALSE(shuffle_result.rounds.empty());
+  for (const auto& r : shuffle_result.rounds) EXPECT_EQ(r.pool_bots, 200);
 }
 
 // ---------------------------------------------------------------------------
@@ -117,7 +94,7 @@ TEST(CrossSimulatorParity, AlwaysOnSaturatesBothEngines) {
 // ---------------------------------------------------------------------------
 
 TEST(CostAwareDecline, ShuffleSimRecordsDeclinedRoundsAndSavesNothing) {
-  auto config = shuffle_config("always-on");
+  auto config = shuffle_config();
   config.benign = {.initial = 500, .rate = 0.0, .total_cap = 500};
   config.bots = {.initial = 20, .rate = 0.0, .total_cap = 20};
   config.controller.replicas = 5;
@@ -170,7 +147,7 @@ TEST(CostAwareDecline, ClientSimRecordsDeclinedRoundsAndSavesNothing) {
 }
 
 TEST(CostAwareDecline, MinZeroForcesExecutionInBothEngines) {
-  auto shuffle = shuffle_config("always-on");
+  auto shuffle = shuffle_config();
   shuffle.controller.migration_cost_weight = 1e9;
   shuffle.controller.min_expected_net_save = 0.0;  // forced
   shuffle.max_rounds = 20;
