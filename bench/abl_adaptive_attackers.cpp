@@ -12,7 +12,9 @@
 // need.  The interesting outputs: the safe fraction each combination ends
 // with, the delivered attack intensity, and how many rounds the cost-aware
 // controller refused to pay for.
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -96,6 +98,9 @@ int run_bench(int argc, char** argv) {
       {"dp", "dp", 0.0, 0.0},
       {"greedy cost-aware", "greedy", cost_weight, min_net},
   };
+  // Rows the verdict reads by position.
+  constexpr std::size_t kAlwaysOn = 0, kCoupon = 1;
+  constexpr std::size_t kGreedy = 0, kCostAware = 2;
 
   // Grid: controller x adversary x rep, flattened for one shared SweepRunner
   // fan-out (bit-identical at any --jobs; seeds key on the rep).
@@ -138,6 +143,9 @@ int run_bench(int argc, char** argv) {
   table.set_headers({"controller", "adversary", "benign safe %",
                      "attack intensity (bots/round)", "rounds declined",
                      "shuffles executed"});
+  // Means per [controller][adversary], for the verdict.
+  std::vector<std::vector<Outcome>> mean(
+      controllers.size(), std::vector<Outcome>(adversaries.size()));
   for (std::size_t ci = 0; ci < controllers.size(); ++ci) {
     for (std::size_t ai = 0; ai < adversaries.size(); ++ai) {
       util::Accumulator safe, intensity, declined, executed;
@@ -153,6 +161,7 @@ int run_bench(int argc, char** argv) {
       const auto in = intensity.summary();
       const auto de = declined.summary();
       const auto ex = executed.summary();
+      mean[ci][ai] = {sp.mean, in.mean, de.mean, ex.mean};
       table.add_row({controllers[ci].label, adversaries[ai].label,
                      util::fmt_ci(sp.mean, sp.ci_half_width(0.95), 1),
                      util::fmt_ci(in.mean, in.ci_half_width(0.95), 1),
@@ -162,10 +171,34 @@ int run_bench(int argc, char** argv) {
   }
   table.print_with_csv();
   metrics_export.write_if_requested([&] { return sweep.metrics; });
+  const auto row = [&](std::size_t ci, std::size_t ai) {
+    return std::string(controllers[ci].label) + " " + adversaries[ai].label;
+  };
+  bench::Verdict verdict;
+  for (std::size_t ci = 0; ci < controllers.size(); ++ci) {
+    verdict.check(mean[ci][kCoupon][1] < mean[ci][kAlwaysOn][1],
+                  "coupon-collector intensity is below always-on's " +
+                      util::fmt(mean[ci][kAlwaysOn][1], 1),
+                  row(ci, kCoupon), mean[ci][kCoupon][1]);
+  }
+  double most_declined = 0.0;
+  for (const Outcome& m : mean[kCostAware]) {
+    most_declined = std::max(most_declined, m[2]);
+  }
+  verdict.check(most_declined > 0.0,
+                "the cost-aware controller declines some round (max rounds "
+                "declined)",
+                controllers[kCostAware].label, most_declined);
+  for (std::size_t ai = 0; ai < adversaries.size(); ++ai) {
+    verdict.check(mean[kCostAware][ai][0] >= mean[kGreedy][ai][0] - 1.0,
+                  "declining keeps the safe % within 1 point of greedy's " +
+                      util::fmt(mean[kGreedy][ai][0], 1),
+                  row(kCostAware, ai), mean[kCostAware][ai][0]);
+  }
   std::cout << "Reproduction check: coupon-collector bots deliver a fraction "
                "of the always-on intensity while they re-scan; the cost-aware "
                "controller declines late, low-value rounds without giving up "
-               "the safe fraction." << std::endl;
+               "the safe fraction: " << verdict.str() << "." << std::endl;
   return 0;
 }
 

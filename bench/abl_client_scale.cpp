@@ -9,8 +9,13 @@
 //     also pinned to recorded digests of the pre-SoA engine by
 //     tests/sim/client_sim_golden_test.cpp.)
 //   * performance trajectory: wall-clock of the SoA engine at threads
-//     {1, 4, 8}, N in {10^4, 10^5, 10^6}.  --bench-json persists the numbers
-//     (CI uploads BENCH_clientsim.json).
+//     {1, 4, 8}, N in {10^4, 10^5, 10^6}, with the minor page faults of each
+//     kept run (a run that re-faults memory the allocator handed back to
+//     the kernel pays for it in wall time; EXPERIMENTS.md, "Client-level
+//     round passes").  --bench-json persists the numbers (CI uploads
+//     BENCH_clientsim.json).
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
@@ -66,6 +71,7 @@ int run_bench(int argc, char** argv) {
   metrics_export.add_flags(flags, /*bench_json_alias=*/false);
   flags.parse(argc, argv);
   bench::require_reps(reps);
+  bench::require_at_least_one("rounds", rounds);
   bench::require_at_least_one("max-scale", max_scale);
 
   std::vector<Count> scales;
@@ -118,23 +124,35 @@ int run_bench(int argc, char** argv) {
   // --- Timing: strictly serial (one run at a time), so the wall-clock
   // numbers are not polluted by sweep concurrency.  Each thread count is
   // timed --reps times and the minimum kept — the run is deterministic, so
-  // the minimum is the least-noise estimate of its true cost.
+  // the minimum is the least-noise estimate of its true cost.  The minor
+  // faults reported are the process's (every thread's) during that run.
+  struct Timed {
+    double s = 0.0;
+    std::int64_t minflt = 0;
+  };
   struct ScaleTiming {
     Count clients = 0;
-    std::vector<double> soa_s;  // one per thread_grid entry
+    std::vector<Timed> soa;  // one per thread_grid entry
 
     [[nodiscard]] double best_soa_s() const {
-      return *std::min_element(soa_s.begin(), soa_s.end());
+      return std::ranges::min(soa, {}, &Timed::s).s;
     }
+  };
+  const auto minor_faults = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<std::int64_t>(usage.ru_minflt);
   };
   const int timing_reps = static_cast<int>(reps);
   const auto timed_min = [&](const auto& run_once) {
-    double best = 0.0;
+    Timed best;
     for (int rep = 0; rep < timing_reps; ++rep) {
+      const std::int64_t faults_before = minor_faults();
       util::Timer timer;
       run_once();
       const double s = timer.elapsed_ms() / 1000.0;
-      if (rep == 0 || s < best) best = s;
+      const std::int64_t faults = minor_faults() - faults_before;
+      if (rep == 0 || s < best.s) best = {s, faults};
     }
     return best;
   };
@@ -143,7 +161,7 @@ int run_bench(int argc, char** argv) {
     ScaleTiming t;
     t.clients = clients;
     for (const Count threads : thread_grid) {
-      t.soa_s.push_back(timed_min([&] {
+      t.soa.push_back(timed_min([&] {
         auto cfg = scale_config(clients, rounds,
                                 static_cast<std::uint64_t>(seed), threads);
         if (sim::ClientLevelSimulator(cfg).run().rounds.empty()) std::abort();
@@ -155,11 +173,12 @@ int run_bench(int argc, char** argv) {
   util::Table table("Client-level simulator at scale — " +
                     std::to_string(rounds) +
                     " rounds, always-on bots (N/2000), MLE controller");
-  table.set_headers(
-      {"clients", "SoA t=1 (s)", "SoA t=4 (s)", "SoA t=8 (s)"});
+  table.set_headers({"clients", "SoA t=1 (s)", "SoA t=4 (s)", "SoA t=8 (s)",
+                     "t=1 faults"});
   for (const auto& t : timings) {
-    table.add_row({util::fmt(t.clients), util::fmt(t.soa_s[0], 3),
-                   util::fmt(t.soa_s[1], 3), util::fmt(t.soa_s[2], 3)});
+    table.add_row({util::fmt(t.clients), util::fmt(t.soa[0].s, 3),
+                   util::fmt(t.soa[1].s, 3), util::fmt(t.soa[2].s, 3),
+                   util::fmt(t.soa[0].minflt)});
   }
   table.print_with_csv();
 
@@ -173,8 +192,10 @@ int run_bench(int argc, char** argv) {
     for (const auto& t : timings) {
       const std::string prefix = "n" + std::to_string(t.clients) + "_";
       for (std::size_t i = 0; i < thread_grid.size(); ++i) {
-        out.set(prefix + "soa_t" + std::to_string(thread_grid[i]) + "_wall_s",
-                t.soa_s[i]);
+        const std::string key =
+            prefix + "soa_t" + std::to_string(thread_grid[i]);
+        out.set(key + "_wall_s", t.soa[i].s);
+        out.set(key + "_minflt", t.soa[i].minflt);
       }
     }
     out.set("clients", static_cast<std::int64_t>(head.clients));

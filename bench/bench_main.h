@@ -4,7 +4,8 @@
 // std::terminate.  The require_* helpers reject numeric flags whose bad
 // values would otherwise crash a run, hit undefined behaviour, or silently
 // simulate something else (a vacuous verdict); benches call them right after
-// parsing.
+// parsing.  Verdict turns a bench's "Reproduction check" claim into a test of
+// its table.
 #pragma once
 
 #include <cmath>
@@ -14,6 +15,8 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+
+#include "util/table.h"
 
 namespace shuffledef::bench {
 
@@ -81,6 +84,26 @@ inline void require_non_negative(std::string_view name, double value) {
 inline void require_reps(std::int64_t reps) {
   require_at_least_one("reps", reps);
 }
+
+/// A "Reproduction check" verdict computed from a table's means: each check
+/// names one clause of the claim, the row it reads and that row's value, and
+/// the first clause that fails is the one reported.
+class Verdict {
+ public:
+  void check(bool holds, std::string_view clause, std::string_view row,
+             double value) {
+    if (holds || !failure_.empty()) return;
+    failure_ = std::string(clause) + ": " + std::string(row) + " = " +
+               util::fmt(value, 1);
+  }
+  /// "holds", or "does NOT hold: <clause>: <row> = <value>".
+  [[nodiscard]] std::string str() const {
+    return failure_.empty() ? "holds" : "does NOT hold: " + failure_;
+  }
+
+ private:
+  std::string failure_;
+};
 
 /// Throws std::invalid_argument unless --horizon is finite and positive.
 inline void require_horizon(double horizon) {

@@ -34,6 +34,8 @@ expect_exit_2("abl_cloudsim_scale: --max-scale must be >= 1 (got -5)"
               ${CLOUDSIM} --max-scale -5)
 expect_exit_2("abl_client_scale: --max-scale must be >= 1 (got -5)"
               ${CLIENTSIM} --max-scale -5)
+expect_exit_2("abl_client_scale: --rounds must be >= 1 (got 0)"
+              ${CLIENTSIM} --rounds 0)
 expect_exit_2("abl_qos_feedback: --threshold must be finite and > 0 (got nan)"
               ${QOS_FEEDBACK} --threshold nan)
 expect_exit_2("abl_qos_restoration: --window must be finite and > 0 (got 0"

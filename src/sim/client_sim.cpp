@@ -49,7 +49,12 @@ struct SoaState {
   // Per-bot columns (indexed by bot id).
   std::vector<core::BotState> bot_states;
   std::vector<std::uint8_t> bot_present;  // in pool or in a saved group
-  std::vector<std::uint8_t> bot_active;
+
+  // Activity column indexed by client id: benign + bots bytes, bot b at
+  // benign + b.  Benign entries are never written and stay 0, so the bucket
+  // scan reads it for every pool member without asking whether the member
+  // is a bot.
+  std::vector<std::uint8_t> active;
 
   // Shuffling pool.  Client ids are assigned once — benign clients take
   // 0..benign-1, bots the tail range — and never change, so the hot sweeps
@@ -73,6 +78,10 @@ struct SoaState {
   std::vector<Count> member_arena;
   std::vector<Count> bot_arena;
   std::vector<Group> groups;
+  // The alive groups whose bot slice is non-empty, in ascending group index
+  // (= creation order).  Only these can be re-polluted, so re-pollution
+  // walks this list instead of every group record.
+  std::vector<Count> armed;
   Count arena_live = 0;    // live member entries == clients in saved groups
   Count saved_benign = 0;  // benign clients in live groups (O(1) safety)
 
@@ -87,7 +96,7 @@ struct SoaState {
 
   // Round scratch.
   std::vector<Count> active_partials;
-  std::vector<std::uint8_t> group_attacked;
+  std::vector<std::uint8_t> armed_hit;  // per armed entry: a bot woke up
   std::vector<Count> offsets;  // bucket prefix offsets (P + 1)
   std::vector<std::uint8_t> bucket_attacked;
   std::vector<Count> bucket_bots;
@@ -104,8 +113,10 @@ struct SoaState {
     new_members.reserve(static_cast<std::size_t>(arena_live));
     std::vector<Count> new_bots;
     std::vector<Group> new_groups;
+    armed.clear();
     for (const Group& g : groups) {
       if (!g.alive) continue;
+      if (g.bsize > 0) armed.push_back(static_cast<Count>(new_groups.size()));
       Group moved = g;
       moved.mbegin = static_cast<Count>(new_members.size());
       new_members.insert(new_members.end(),
@@ -198,7 +209,9 @@ namespace {
 
 // End-of-round conservation audit (ClientSimConfig::audit): every client id
 // sits in exactly one of {pool, saved group, away}, naive-dropped bots in
-// none, and the engine's running totals match a full recount.
+// none, the engine's running totals match a full recount, the armed list is
+// exactly the alive groups holding a bot in ascending order, and no benign
+// entry of the activity column was ever written.
 void audit_round(const ClientSimConfig& cfg, const SoaState& s, Count round) {
   const Count n_total = cfg.benign + cfg.bots;
   const bool naive = cfg.strategy.strategy == "naive";
@@ -226,9 +239,22 @@ void audit_round(const ClientSimConfig& cfg, const SoaState& s, Count round) {
          " != recount " + std::to_string(pool_bots_recount));
   }
 
-  Count members = 0, benign_saved = 0;
+  Count prev_armed = -1;
+  for (const Count g : s.armed) {
+    if (g <= prev_armed || g >= static_cast<Count>(s.groups.size())) {
+      fail("armed list not strictly ascending group indices");
+    }
+    const auto& grp = s.groups[static_cast<std::size_t>(g)];
+    if (!grp.alive || grp.bsize == 0) {
+      fail("armed group " + std::to_string(g) + " is dead or holds no bot");
+    }
+    prev_armed = g;
+  }
+
+  Count members = 0, benign_saved = 0, armable = 0;
   for (const auto& g : s.groups) {
     if (!g.alive) continue;
+    if (g.bsize > 0) ++armable;
     Count bots_in_members = 0;
     for (Count k = g.mbegin; k < g.mbegin + g.msize; ++k) {
       const Count id = s.member_arena[static_cast<std::size_t>(k)];
@@ -244,6 +270,15 @@ void audit_round(const ClientSimConfig& cfg, const SoaState& s, Count round) {
     }
     members += g.msize;
     benign_saved += g.msize - g.bsize;
+  }
+  if (armable != static_cast<Count>(s.armed.size())) {
+    fail("armed list holds " + std::to_string(s.armed.size()) + " of " +
+         std::to_string(armable) + " alive groups with a bot");
+  }
+  for (Count id = 0; id < cfg.benign; ++id) {
+    if (s.active[static_cast<std::size_t>(id)] != 0) {
+      fail("benign client " + std::to_string(id) + " marked active");
+    }
   }
   if (members != s.arena_live) {
     fail("arena_live " + std::to_string(s.arena_live) + " != recount " +
@@ -340,7 +375,9 @@ ClientSimResult ClientLevelSimulator::run() {
         behavior_rng.fork_small(static_cast<std::uint64_t>(b)));
   }
   s.bot_present.assign(static_cast<std::size_t>(n_bots), 1);
-  s.bot_active.assign(static_cast<std::size_t>(n_bots), 0);
+  s.active.assign(static_cast<std::size_t>(n_total), 0);
+  // The bot suffix of the activity column, indexed by bot id.
+  std::uint8_t* const bot_active = s.active.data() + n_benign;
 
   // Nearly every client ends up in a saved-group arena slice; reserving up
   // front avoids growth reallocations mid-run (the arenas only matter at
@@ -411,16 +448,16 @@ ClientSimResult ClientLevelSimulator::run() {
               if (!always_active) {
                 strategy->decide(ctx, {s.bot_states.data() + lo_s, len},
                                  {s.bot_present.data() + lo_s, len},
-                                 {s.bot_active.data() + lo_s, len});
+                                 {bot_active + lo_s, len});
               }
               Count local = 0;
               for (std::int64_t b = lo; b < hi; ++b) {
                 const auto bi = static_cast<std::size_t>(b);
                 if (s.bot_present[bi] != 0) {
-                  if (always_active) s.bot_active[bi] = 1;
-                  local += s.bot_active[bi] != 0 ? 1 : 0;
+                  if (always_active) bot_active[bi] = 1;
+                  local += bot_active[bi] != 0 ? 1 : 0;
                 } else {
-                  s.bot_active[bi] = 0;
+                  bot_active[bi] = 0;
                 }
               }
               s.active_partials[static_cast<std::size_t>(lo / kGrain)] +=
@@ -429,29 +466,36 @@ ClientSimResult ClientLevelSimulator::run() {
       for (const Count c : s.active_partials) active_total += c;
     }
 
-    // 3. Re-pollution: attacked flags per group in parallel (a group reads
-    //    only its bot slice), then serial application in creation order:
-    //    the pool append order is part of what the recorded digests pin.
-    if (!s.groups.empty()) {
-      const auto ng = static_cast<std::int64_t>(s.groups.size());
-      s.group_attacked.assign(s.groups.size(), 0);
-      sweep(workers, ng, static_cast<std::int64_t>(s.bot_arena.size()), 256,
+    // 3. Re-pollution: a group without a bot can never wake up, so only the
+    //    armed groups are visited.  Attacked flags per armed group in
+    //    parallel (a group reads only its bot slice), then serial
+    //    application in list order, which is creation order: the pool
+    //    append order is part of what the recorded digests pin.  Groups
+    //    that stay clean stay armed.
+    if (!s.armed.empty()) {
+      const auto na = static_cast<std::int64_t>(s.armed.size());
+      s.armed_hit.resize(s.armed.size());
+      sweep(workers, na, static_cast<std::int64_t>(s.bot_arena.size()), 256,
             [&](std::int64_t lo, std::int64_t hi) {
-              for (std::int64_t g = lo; g < hi; ++g) {
-                const auto& grp = s.groups[static_cast<std::size_t>(g)];
-                if (!grp.alive) continue;
+              for (std::int64_t j = lo; j < hi; ++j) {
+                const auto& grp = s.groups[static_cast<std::size_t>(
+                    s.armed[static_cast<std::size_t>(j)])];
+                std::uint8_t hit = 0;
                 for (Count k = grp.bbegin; k < grp.bbegin + grp.bsize; ++k) {
-                  if (s.bot_active[static_cast<std::size_t>(
-                          s.bot_arena[static_cast<std::size_t>(k)])] != 0) {
-                    s.group_attacked[static_cast<std::size_t>(g)] = 1;
-                    break;
-                  }
+                  hit |= bot_active[static_cast<std::size_t>(
+                      s.bot_arena[static_cast<std::size_t>(k)])];
                 }
+                s.armed_hit[static_cast<std::size_t>(j)] = hit;
               }
             });
-      for (std::size_t g = 0; g < s.groups.size(); ++g) {
-        auto& grp = s.groups[g];
-        if (!grp.alive || s.group_attacked[g] == 0) continue;
+      std::size_t keep = 0;
+      for (std::size_t j = 0; j < s.armed.size(); ++j) {
+        const Count g = s.armed[j];
+        if (s.armed_hit[j] == 0) {
+          s.armed[keep++] = g;
+          continue;
+        }
+        auto& grp = s.groups[static_cast<std::size_t>(g)];
         s.pool_ids.insert(
             s.pool_ids.end(), s.member_arena.begin() + grp.mbegin,
             s.member_arena.begin() + grp.mbegin + grp.msize);
@@ -461,6 +505,7 @@ ClientSimResult ClientLevelSimulator::run() {
         s.arena_live -= grp.msize;
         grp.alive = false;
       }
+      s.armed.resize(keep);
       s.compact_arenas();
     }
 
@@ -504,25 +549,26 @@ ClientSimResult ClientLevelSimulator::run() {
         }
 
         // Bucket scan: attacked flag + bot count per bucket, one contiguous
-        // read of the parallel pool arrays per bucket.
+        // read of the pool per bucket.  The id-indexed activity column is 0
+        // for benign members, so neither count needs a branch on whether
+        // the member is a bot (bots sit at random pool positions, and that
+        // branch mispredicts).
         s.bucket_attacked.assign(replica_count, 0);
         s.bucket_bots.assign(replica_count, 0);
+        const std::uint8_t* const active = s.active.data();
         sweep(workers, np_buckets, np,
               1, [&](std::int64_t lo, std::int64_t hi) {
           for (std::int64_t r = lo; r < hi; ++r) {
             const auto rr = static_cast<std::size_t>(r);
             Count bots_here = 0;
-            bool attacked = false;
+            std::uint8_t attacked = 0;
             for (Count i = s.offsets[rr]; i < s.offsets[rr + 1]; ++i) {
               const Count id = s.pool_ids[static_cast<std::size_t>(i)];
-              if (id >= n_benign) {
-                ++bots_here;
-                attacked |=
-                    s.bot_active[static_cast<std::size_t>(id - n_benign)] != 0;
-              }
+              bots_here += id >= n_benign;
+              attacked |= active[static_cast<std::size_t>(id)];
             }
             s.bucket_bots[rr] = bots_here;
-            s.bucket_attacked[rr] = attacked ? 1 : 0;
+            s.bucket_attacked[rr] = attacked;
           }
         });
 
@@ -586,6 +632,9 @@ ClientSimResult ClientLevelSimulator::run() {
           } else if (sz > 0) {
             s.groups.push_back({s.grp_m_off[r], sz, s.grp_b_off[r],
                                 s.bucket_bots[r], true});
+            if (s.bucket_bots[r] > 0) {
+              s.armed.push_back(static_cast<Count>(s.groups.size()) - 1);
+            }
             s.saved_benign += sz - s.bucket_bots[r];
             s.arena_live += sz;
             saved_this_round += sz;

@@ -19,13 +19,13 @@
 // replicas' clients and leaves clean replicas alone.
 //
 // Engine design (million-client scale): the client population lives in a
-// struct-of-arrays store — a flat per-client bot-index column, the shuffling
-// pool as parallel id/bot-index arrays, saved groups as slices of flat
-// member/bot arenas, and per-bot behavior state in a flat
-// `std::vector<core::BotState>` — so a round's activity pass, re-pollution
-// scan, bucket scan and partition are contiguous sweeps instead of
-// pointer-chasing, and benign-safety accounting is O(1) running totals
-// instead of a full rescan of every saved client per round.  The sweeps are
+// struct-of-arrays store — flat per-client bot-index and activity columns,
+// the shuffling pool as a flat id array, saved groups as slices of flat
+// member/bot arenas plus the list of those holding a bot, and per-bot
+// behavior state in a flat `std::vector<core::BotState>` — so a round's
+// activity pass, re-pollution scan, bucket scan and partition are contiguous
+// sweeps instead of pointer-chasing, and benign-safety accounting is O(1)
+// running totals instead of a full rescan of every saved client per round.  The sweeps are
 // sharded across a `util::ThreadPool` (`ClientSimConfig::threads`) with
 // chunk boundaries that depend only on the data, and every random draw comes
 // from either the serial shuffle stream or a per-bot `util::SmallRng` fork —

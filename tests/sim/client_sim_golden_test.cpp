@@ -359,8 +359,9 @@ TEST(ClientSimGolden, AlwaysOnWithMle) {
 // and the deterministic view of the metrics snapshot — is bit-identical at
 // every thread count.
 TEST(ClientSimGolden, ThreadCountsAreBitIdentical) {
-  for (const char* strategy : {"always-on", "on-off", "quit-reenter",
-                               "naive", "synchronized-waves"}) {
+  for (const char* strategy :
+       {"always-on", "on-off", "quit-reenter", "naive", "synchronized-waves",
+        "coupon-collector", "churn"}) {
     auto cfg = golden_config(strategy, true);
     cfg.threads = 1;
     const auto serial = ClientLevelSimulator(cfg).run();
@@ -402,18 +403,49 @@ std::uint64_t rounds_digest(const std::vector<ClientRoundMetrics>& rounds) {
   return h;
 }
 
-// Differential against the frozen pre-SoA engine on configs *other* than
-// the pinned golden one (different population, replica count and seed), so
-// the SoA engine cannot overfit the golden scenario, plus the three
-// always-on scale configs of bench/abl_client_scale.  The digests were
-// recorded from that engine, which the SoA engine matched on all thirteen
-// when it was deleted.
+// A config other than the pinned golden one (different population, replica
+// count and seed), with MLE estimation on for even seeds, audited and
+// sharded over three threads.
+ClientSimConfig fresh_config(const std::string& strategy, std::uint64_t seed) {
+  ClientSimConfig cfg;
+  cfg.benign = 1700;
+  cfg.bots = 90;
+  cfg.strategy.strategy = strategy;
+  cfg.strategy.options.on_probability = 0.55;
+  cfg.strategy.options.quit_probability = 0.45;
+  cfg.strategy.options.reenter_delay = 3;
+  cfg.strategy.options.new_ip_probability = 0.7;
+  cfg.strategy.options.wave_period = 4;
+  cfg.strategy.options.wave_duty = 0.4;
+  cfg.controller.planner = "greedy";
+  cfg.controller.replicas = 48;
+  cfg.controller.use_mle = (seed % 2) == 0;
+  cfg.rounds = 50;
+  cfg.seed = seed;
+  cfg.threads = 3;
+  cfg.audit = true;
+  return cfg;
+}
+
+struct Fresh {
+  const char* strategy;
+  std::uint64_t seed;
+  std::uint64_t digest;
+};
+
+void expect_fresh_digest(const Fresh& f) {
+  const auto result =
+      ClientLevelSimulator(fresh_config(f.strategy, f.seed)).run();
+  SCOPED_TRACE(std::string(f.strategy) + " seed " + std::to_string(f.seed));
+  ASSERT_EQ(result.rounds.size(), 50u);
+  EXPECT_EQ(rounds_digest(result.rounds), f.digest);
+}
+
+// Differential against the frozen pre-SoA engine on fresh_config, so the SoA
+// engine cannot overfit the golden scenario, plus the three always-on scale
+// configs of bench/abl_client_scale.  The digests were recorded from that
+// engine, which the SoA engine matched on all thirteen when it was deleted.
 TEST(ClientSimGolden, MatchesReferenceEngineOnFreshConfigs) {
-  struct Fresh {
-    const char* strategy;
-    std::uint64_t seed;
-    std::uint64_t digest;
-  };
   constexpr Fresh kFresh[] = {
       {"always-on", 31, 0xbc22aee9869f073aULL},
       {"always-on", 1234, 0xf40c8aa2fd1c0a00ULL},
@@ -426,29 +458,7 @@ TEST(ClientSimGolden, MatchesReferenceEngineOnFreshConfigs) {
       {"synchronized-waves", 31, 0x09354ccfc9b1cecbULL},
       {"synchronized-waves", 1234, 0xb5f315b8ca030b8dULL},
   };
-  for (const auto& f : kFresh) {
-    ClientSimConfig cfg;
-    cfg.benign = 1700;
-    cfg.bots = 90;
-    cfg.strategy.strategy = f.strategy;
-    cfg.strategy.options.on_probability = 0.55;
-    cfg.strategy.options.quit_probability = 0.45;
-    cfg.strategy.options.reenter_delay = 3;
-    cfg.strategy.options.new_ip_probability = 0.7;
-    cfg.strategy.options.wave_period = 4;
-    cfg.strategy.options.wave_duty = 0.4;
-    cfg.controller.planner = "greedy";
-    cfg.controller.replicas = 48;
-    cfg.controller.use_mle = (f.seed % 2) == 0;
-    cfg.rounds = 50;
-    cfg.seed = f.seed;
-    cfg.threads = 3;
-    cfg.audit = true;
-    const auto soa = ClientLevelSimulator(cfg).run();
-    SCOPED_TRACE(std::string(f.strategy) + " seed " + std::to_string(f.seed));
-    ASSERT_EQ(soa.rounds.size(), 50u);
-    EXPECT_EQ(rounds_digest(soa.rounds), f.digest);
-  }
+  for (const auto& f : kFresh) expect_fresh_digest(f);
 
   struct Scale {
     Count clients;
@@ -475,6 +485,21 @@ TEST(ClientSimGolden, MatchesReferenceEngineOnFreshConfigs) {
     ASSERT_EQ(soa.rounds.size(), 50u);
     EXPECT_EQ(rounds_digest(soa.rounds), s.digest);
   }
+}
+
+// The two adaptive adversaries on fresh_config.  Digests recorded from the
+// engine whose re-pollution pass scanned every saved-group record; the
+// coupon-collector runs re-pollute 854 (seed 31) and 971 (seed 1234) benign
+// clients, so they pin which saved groups a waking bot drags back and in
+// what order.
+TEST(ClientSimGolden, AdaptiveStrategiesMatchRecordedDigests) {
+  constexpr Fresh kAdaptive[] = {
+      {"coupon-collector", 31, 0x128dc28c575b161cULL},
+      {"coupon-collector", 1234, 0xe36f6987a96a64c2ULL},
+      {"churn", 31, 0xc7d8351f879721d6ULL},
+      {"churn", 1234, 0x1a4cfa6233a497caULL},
+  };
+  for (const auto& f : kAdaptive) expect_fresh_digest(f);
 }
 
 }  // namespace
