@@ -2,18 +2,15 @@
 // 10^6 clients against the full DNS/LB/replica/coordinator stack).
 //
 // Two jobs:
-//   * correctness at scale: the flat ClientSwarm engine must produce
-//     aggregate results bit-identical to itself across shard-thread counts
-//     {1, 4, 8} at every population scale, with the network conservation
-//     invariant intact — fault injection on, replica crash mid-campaign.
-//     The verification grid fans out across --jobs via SweepRunner.
-//   * performance trajectory: wall-clock of the per-object ClientAgent
-//     engine vs the flat engine at N in {10^4, 10^5, 10^6} (the per-object
-//     engine is only timed up to 10^5 — that is where the >= 10x headline
-//     is taken; 10^6 is flat-only, the population the old engine cannot
-//     carry).  --bench-json persists the numbers (CI uploads
-//     BENCH_cloudsim.json); --metrics-json / --metrics-csv export the
-//     largest flat run's metrics snapshot (its shard_threads = 1 cell).
+//   * correctness at scale: the ClientSwarm engine must produce aggregate
+//     results bit-identical to itself across shard-thread counts {1, 4, 8}
+//     at every population scale, with the network conservation invariant
+//     intact — fault injection on, replica crash mid-campaign.  The
+//     verification grid fans out across --jobs via SweepRunner.
+//   * performance trajectory: wall-clock at N in {10^4, 10^5, 10^6} for
+//     each shard-thread count.  --bench-json persists the numbers (CI
+//     uploads BENCH_cloudsim.json); --metrics-json / --metrics-csv export
+//     the largest run's metrics snapshot (its shard_threads = 1 cell).
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -31,7 +28,6 @@
 #include "util/timer.h"
 
 using namespace shuffledef;
-using cloudsim::ClientEngine;
 using cloudsim::Scenario;
 using cloudsim::ScenarioConfig;
 
@@ -87,10 +83,9 @@ struct Fingerprint {
 };
 
 /// `metrics` (optional) receives the run's metrics snapshot.
-Fingerprint run_flat(std::int64_t clients, std::uint64_t seed, int threads,
+Fingerprint run_scale(std::int64_t clients, std::uint64_t seed, int threads,
                      double horizon, obs::MetricsSnapshot* metrics = nullptr) {
   auto cfg = scale_config(clients, seed);
-  cfg.client_engine = ClientEngine::kFlat;
   cfg.shard_threads = threads;
   Scenario s(cfg);
   if (!s.run_until(horizon)) {
@@ -113,30 +108,22 @@ Fingerprint run_flat(std::int64_t clients, std::uint64_t seed, int threads,
                      net.conserved()};
 }
 
-void run_reference(std::int64_t clients, std::uint64_t seed, double horizon) {
-  auto cfg = scale_config(clients, seed);
-  cfg.client_engine = ClientEngine::kPerObject;
-  Scenario s(cfg);
-  if (!s.run_until(horizon) || !s.world().network().stats().conserved()) {
-    std::abort();
-  }
-}
-
 int run_bench(int argc, char** argv) {
   util::Flags flags("abl_cloudsim_scale",
-                    "Packet-level cloudsim at 10^4..10^6 clients: flat "
-                    "ClientSwarm vs per-object agents, shard-thread "
-                    "bit-identity, conservation under faults");
+                    "Packet-level cloudsim at 10^4..10^6 clients: "
+                    "ClientSwarm wall time, shard-thread bit-identity, "
+                    "conservation under faults");
   auto& horizon = flags.add_double("horizon", 10.0, "simulated seconds per run");
   auto& reps = flags.add_int(
-      "reps", 2, "timing repetitions per engine (the minimum is reported)");
+      "reps", 2,
+      "timing repetitions per shard-thread count (the minimum is reported)");
   auto& seed = flags.add_int("seed", 7, "RNG seed");
   auto& max_scale =
       flags.add_int("max-scale", 1000000, "largest client count to run");
   auto& jobs_flag = bench::add_jobs_flag(flags);
   auto& bench_json = flags.add_string(
       "bench-json", "",
-      "write wall-clock / speedup / bit-identity numbers to this JSON file");
+      "write wall-clock / bit-identity numbers to this JSON file");
   bench::MetricsExport metrics_export;
   metrics_export.add_flags(flags, /*bench_json_alias=*/false);
   flags.parse(argc, argv);
@@ -149,9 +136,6 @@ int run_bench(int argc, char** argv) {
     if (n <= max_scale) scales.push_back(n);
   }
   if (scales.empty()) scales.push_back(std::max<std::int64_t>(1000, max_scale));
-  // The per-object engine is only raced up to 10^5 — beyond that it is the
-  // bottleneck the flat engine exists to remove.
-  constexpr std::int64_t kMaxReferenceScale = 100'000;
   const std::vector<int> thread_grid = {1, 4, 8};
   const auto cfg_seed = static_cast<std::uint64_t>(seed);
 
@@ -176,7 +160,7 @@ int run_bench(int argc, char** argv) {
     const int threads = thread_grid[cell.index % thread_grid.size()];
     // Fixed per-scale seed (not the sweep's seed chain): every thread count
     // must simulate the identical scenario.
-    return run_flat(clients, cfg_seed, threads, horizon,
+    return run_scale(clients, cfg_seed, threads, horizon,
                     cell.index == largest_cell && metrics_export.requested()
                         ? &largest_metrics
                         : nullptr);
@@ -203,8 +187,7 @@ int run_bench(int argc, char** argv) {
   // so the minimum is the least-noise estimate).
   struct ScaleTiming {
     std::int64_t clients = 0;
-    double ref_s = 0.0;  // 0 = not raced at this scale
-    std::vector<double> flat_s;  // one per thread_grid entry
+    std::vector<double> wall_s;  // one per thread_grid entry
   };
   const int timing_reps = static_cast<int>(reps);
   const auto timed_min = [&](const auto& run_once) {
@@ -221,12 +204,9 @@ int run_bench(int argc, char** argv) {
   for (const std::int64_t clients : scales) {
     ScaleTiming t;
     t.clients = clients;
-    if (clients <= kMaxReferenceScale) {
-      t.ref_s = timed_min([&] { run_reference(clients, cfg_seed, horizon); });
-    }
     for (const int threads : thread_grid) {
-      t.flat_s.push_back(timed_min([&] {
-        if (!run_flat(clients, cfg_seed, threads, horizon).conserved) {
+      t.wall_s.push_back(timed_min([&] {
+        if (!run_scale(clients, cfg_seed, threads, horizon).conserved) {
           std::abort();
         }
       }));
@@ -234,30 +214,18 @@ int run_bench(int argc, char** argv) {
     timings.push_back(std::move(t));
   }
 
-  util::Table table(
-      "Packet-level cloudsim at scale — " + util::fmt(horizon, 1) +
-      " simulated seconds, fault-injected, flat swarm vs per-object agents");
-  table.set_headers({"clients", "per-object (s)", "flat t=1 (s)",
-                     "flat t=4 (s)", "flat t=8 (s)", "speedup"});
+  util::Table table("Packet-level cloudsim at scale — " +
+                    util::fmt(horizon, 1) +
+                    " simulated seconds, fault-injected");
+  table.set_headers({"clients", "shard_threads=1 (s)", "shard_threads=4 (s)",
+                     "shard_threads=8 (s)"});
   for (const auto& t : timings) {
-    double best = t.flat_s[0];
-    for (const double s : t.flat_s) best = std::min(best, s);
-    table.add_row({util::fmt(t.clients),
-                   t.ref_s > 0.0 ? util::fmt(t.ref_s, 3) : "-",
-                   util::fmt(t.flat_s[0], 3), util::fmt(t.flat_s[1], 3),
-                   util::fmt(t.flat_s[2], 3),
-                   t.ref_s > 0.0 && best > 0.0
-                       ? util::fmt(t.ref_s / best, 1) + "x"
-                       : "-"});
+    table.add_row({util::fmt(t.clients), util::fmt(t.wall_s[0], 3),
+                   util::fmt(t.wall_s[1], 3), util::fmt(t.wall_s[2], 3)});
   }
   table.print_with_csv();
 
   if (!bench_json.empty()) {
-    // Headline: the largest scale both engines ran.
-    const ScaleTiming* head = nullptr;
-    for (const auto& t : timings) {
-      if (t.ref_s > 0.0) head = &t;
-    }
     bench::BenchJson out;
     out.set("bench", std::string("abl_cloudsim_scale"));
     out.set("horizon_s", static_cast<double>(horizon));
@@ -266,23 +234,10 @@ int run_bench(int argc, char** argv) {
     out.set("conserved", conserved);
     for (const auto& t : timings) {
       const std::string prefix = "n" + std::to_string(t.clients) + "_";
-      if (t.ref_s > 0.0) out.set(prefix + "ref_wall_s", t.ref_s);
       for (std::size_t i = 0; i < thread_grid.size(); ++i) {
         out.set(prefix + "flat_t" + std::to_string(thread_grid[i]) + "_wall_s",
-                t.flat_s[i]);
+                t.wall_s[i]);
       }
-      double best = t.flat_s[0];
-      for (const double s : t.flat_s) best = std::min(best, s);
-      if (t.ref_s > 0.0) out.set(prefix + "speedup", t.ref_s / best);
-    }
-    if (head != nullptr) {
-      double head_best = head->flat_s[0];
-      for (const double s : head->flat_s) head_best = std::min(head_best, s);
-      out.set("clients", static_cast<std::int64_t>(head->clients));
-      out.set("ref_wall_s", head->ref_s);
-      out.set("flat_best_wall_s", head_best);
-      out.set("speedup_vs_reference",
-              head_best > 0.0 ? head->ref_s / head_best : 0.0);
     }
     out.write(bench_json);
   }
@@ -290,7 +245,7 @@ int run_bench(int argc, char** argv) {
   metrics_export.write_if_requested([&] { return largest_metrics; });
 
   if (!identical || !conserved) return EXIT_FAILURE;
-  std::cout << "Reproduction check: flat swarm bit-identical across shard "
+  std::cout << "Reproduction check: swarm bit-identical across shard "
                "threads at every scale, conservation intact under faults "
                "(replica crash + lossy lanes) up to N="
             << scales.back() << "." << std::endl;

@@ -13,6 +13,8 @@
 // Reported per 10-second window: page-load success rate (completed loads /
 // (loads + timeouts)) and mean page latency across all benign clients.
 #include <iostream>
+#include <stdexcept>
+#include <vector>
 
 #include "bench_main.h"
 #include "cloudsim/scenario.h"
@@ -57,24 +59,25 @@ std::vector<WindowStats> run_world(bool defended, int clients, int bots,
       defended ? 200.0 : 1e18;  // undefended: detection never fires
   cfg.boot_delay_s = 0.3;
   Scenario s(cfg);
-  s.run_until(horizon_s);
 
+  // Benign clients' page loads and timeouts, binned by completion window.
   const auto windows = static_cast<std::size_t>(horizon_s / window_s);
   std::vector<std::int64_t> loads(windows, 0);
   std::vector<std::int64_t> timeouts(windows, 0);
   std::vector<double> latency(windows, 0.0);
-  for (const auto* c : s.clients()) {
-    for (const auto& load : c->stats().page_loads) {
-      const auto w = static_cast<std::size_t>(load.completed_at / window_s);
-      if (w >= windows) continue;
+  const std::int32_t benign = s.swarm()->benign_members();
+  s.swarm()->set_observer([&](const MemberEvent& e) {
+    const auto w = static_cast<std::size_t>(e.end_s / window_s);
+    if (e.member >= benign || w >= windows) return;
+    if (e.kind == MemberEvent::Kind::kPageLoad) {
       ++loads[w];
-      latency[w] += load.duration();
-    }
-    for (const double t : c->stats().timeout_at) {
-      const auto w = static_cast<std::size_t>(t / window_s);
-      if (w >= windows) continue;
+      latency[w] += e.duration();
+    } else if (e.kind == MemberEvent::Kind::kTimeout) {
       ++timeouts[w];
     }
+  });
+  if (!s.run_until(horizon_s)) {
+    throw std::runtime_error("event budget exhausted before --horizon");
   }
   std::vector<WindowStats> out(windows);
   for (std::size_t w = 0; w < windows; ++w) {

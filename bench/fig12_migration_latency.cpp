@@ -18,6 +18,9 @@
 // stays within a few seconds at 60 clients; the per-client average grows
 // much more slowly.
 #include <iostream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "bench_main.h"
 #include "cloudsim/scenario.h"
@@ -49,6 +52,13 @@ class Flooder final : public Node {
   NodeId target_;
   double interval_;
 };
+
+void run_or_throw(Scenario& s, double t) {
+  if (!s.run_until(t)) {
+    throw std::runtime_error("event budget exhausted before t = " +
+                             std::to_string(t) + " s");
+  }
+}
 
 struct MigrationResult {
   double total_s = 0.0;       // trigger -> last client done
@@ -86,8 +96,15 @@ MigrationResult run_once(int client_count, std::uint64_t seed,
   cfg.client_latency_max_s = 0.080;
 
   Scenario s(cfg);
+  // Each client's first completed migration (-1 = none yet).
+  std::vector<double> migrated_at(static_cast<std::size_t>(client_count),
+                                  -1.0);
+  s.swarm()->set_observer([&](const MemberEvent& e) {
+    auto& at = migrated_at[static_cast<std::size_t>(e.member)];
+    if (e.kind == MemberEvent::Kind::kMigration && at < 0.0) at = e.end_s;
+  });
   // Let every client finish the join flow (page + WebSocket) first.
-  s.run_until(20.0);
+  run_or_throw(s, 20.0);
   if (s.clients_connected() != client_count) return {};
 
   const double trigger_at = s.now() + 0.1;
@@ -103,16 +120,16 @@ MigrationResult run_once(int client_count, std::uint64_t seed,
   }
   s.world().loop().schedule_at(trigger_at,
                                [&] { p1->simulate_attack_detected(); });
-  s.run_until(trigger_at + 60.0);
+  run_or_throw(s, trigger_at + 60.0);
 
   MigrationResult result;
   util::Accumulator per_client;
   double last_done = trigger_at;
-  for (const auto* c : s.clients()) {
-    if (c->stats().migrations.empty() || !c->connected()) return {};
-    const auto& mig = c->stats().migrations.front();
-    per_client.add(mig.completed_at - trigger_at);
-    last_done = std::max(last_done, mig.completed_at);
+  for (std::int32_t i = 0; i < client_count; ++i) {
+    const double done = migrated_at[static_cast<std::size_t>(i)];
+    if (done < 0.0 || !s.swarm()->connected(i)) return {};
+    per_client.add(done - trigger_at);
+    last_done = std::max(last_done, done);
   }
   result.total_s = last_done - trigger_at;
   result.per_client_s = per_client.mean();

@@ -40,7 +40,7 @@ int main() {
                "30 clients joining, botnet lurking\n";
 
   auto report = [&](double t) {
-    s.run_until(t);
+    if (!s.run_until(t)) return false;
     const auto& cs = s.coordinator()->stats();
     std::cout << "t=" << std::setw(4) << t << "s  "
               << "connected=" << s.clients_connected() << "/30"
@@ -50,13 +50,16 @@ int main() {
               << "  bot-replicas=" << s.replicas_hosting_bots()
               << "  benign-isolated=" << s.benign_clients_isolated_from_bots()
               << "/30\n";
+    return true;
   };
 
-  report(5.0);    // joining finishes; floods ramp; detection fires
-  report(10.0);
-  report(20.0);
-  report(40.0);
-  report(60.0);
+  // At 5 s joining finishes, floods ramp and detection fires.
+  for (const double t : {5.0, 10.0, 20.0, 40.0, 60.0}) {
+    if (!report(t)) {
+      std::cerr << "event budget exhausted before t=" << t << "s\n";
+      return 1;
+    }
+  }
 
   const auto& net = s.world().network().stats();
   std::cout << "\nNetwork totals: " << net.delivered << " messages delivered, "
@@ -65,13 +68,16 @@ int main() {
             << " dropped at recycled instances (naive bots shooting at "
                "ghosts)\n";
 
-  std::cout << "\nPer-client experience (first 5 clients):\n";
-  for (std::size_t i = 0; i < 5; ++i) {
-    const auto* c = s.clients()[i];
-    std::cout << "  " << c->name() << ": " << c->stats().migrations.size()
-              << " migrations, " << c->stats().timeouts << " timeouts, "
-              << (c->connected() ? "connected" : "disconnected") << "\n";
-  }
+  const auto& sw = s.swarm()->stats();
+  std::cout << "\nClient experience (30 browsers and 3 persistent bots): "
+            << sw.migrations_completed << " migrations completed (mean "
+            << std::setprecision(2) << std::fixed
+            << (sw.migrations_completed > 0
+                    ? sw.migration_seconds_sum /
+                          static_cast<double>(sw.migrations_completed)
+                    : 0.0)
+            << " s), " << sw.page_loads << " pages loaded, " << sw.timeouts
+            << " request timeouts, " << sw.rejoins << " rejoins\n";
 
   // Perfect isolation = every persistent bot alone on its own replica and
   // (virtually) every benign client on a bot-free one.

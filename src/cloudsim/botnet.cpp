@@ -1,83 +1,6 @@
 #include "cloudsim/botnet.h"
 
-#include <algorithm>
-
-#include "util/logging.h"
-
 namespace shuffledef::cloudsim {
-
-// ---- PersistentBot ---------------------------------------------------------
-
-PersistentBot::PersistentBot(World& world, std::string name,
-                             PersistentBotConfig config)
-    : ClientAgent(world, std::move(name), config.client),
-      bot_config_(config),
-      strategy_state_(config.strategy_state) {}
-
-void PersistentBot::on_connected() {
-  report_target();
-  if (attacking_) return;
-  attacking_ = true;
-  if (bot_config_.strategy != nullptr) strategy_tick();
-  if (bot_config_.junk_rate_pps > 0.0) junk_tick();
-  if (bot_config_.heavy_interval_s > 0.0) heavy_tick();
-}
-
-void PersistentBot::strategy_tick() {
-  // One strategy round: the bot re-decides whether it attacks.  Draws come
-  // only from the bot's private stream, so the decision sequence is
-  // independent of event interleaving and of every other bot.
-  const core::StrategyContext ctx{++strategy_round_,
-                                  bot_config_.strategy_replicas};
-  active_ = bot_config_.strategy->decide_one(ctx, strategy_state_);
-  loop().schedule_after(bot_config_.strategy_round_s,
-                        [this] { strategy_tick(); });
-}
-
-void PersistentBot::on_migrated(NodeId /*new_replica*/) {
-  // Followed the moving target; re-aim and tell the botmaster.
-  report_target();
-  if (bot_config_.strategy != nullptr &&
-      bot_config_.strategy->reacts_to_shuffle()) {
-    const core::StrategyContext ctx{strategy_round_,
-                                    bot_config_.strategy_replicas};
-    const core::Count away =
-        bot_config_.strategy->on_shuffled_one(ctx, strategy_state_);
-    if (away >= 0) {
-      // Departing bots go dark instead of tearing the connection down: the
-      // strategy parked an away counter in the bot state, and decide_one's
-      // away guard keeps the bot inactive until it drains.
-      active_ = false;
-    }
-  }
-}
-
-void PersistentBot::report_target() {
-  if (bot_config_.botmaster == kInvalidNode) return;
-  send(bot_config_.botmaster, MessageType::kBotReport, kControlMessageBytes,
-       BotReportPayload{current_replica()});
-}
-
-void PersistentBot::junk_tick() {
-  // The tick keeps its cadence (and its draw) even while the strategy holds
-  // the bot dormant, so enabling a strategy never shifts the timing stream.
-  if (active_ && current_replica() != kInvalidNode && connected()) {
-    send(current_replica(), MessageType::kJunkPacket, kJunkPacketBytes);
-    ++junk_sent_;
-  }
-  // Exponential inter-packet gaps (Poisson traffic).
-  loop().schedule_after(rng().exponential(bot_config_.junk_rate_pps),
-                        [this] { junk_tick(); });
-}
-
-void PersistentBot::heavy_tick() {
-  if (active_ && current_replica() != kInvalidNode && connected()) {
-    send(current_replica(), MessageType::kHeavyRequest, kHttpRequestBytes,
-         HeavyRequestPayload{ip_id(), bot_config_.heavy_cpu_seconds});
-    ++heavy_sent_;
-  }
-  loop().schedule_after(bot_config_.heavy_interval_s, [this] { heavy_tick(); });
-}
 
 // ---- NaiveBot --------------------------------------------------------------
 

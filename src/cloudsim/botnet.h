@@ -1,10 +1,7 @@
-// The botnet: persistent bots, naive bots, and the botmaster (paper §II-B).
-//
-//   PersistentBot — runs the full client join flow (so it is whitelisted and
-//     indistinguishable from a benign client), then attacks its assigned
-//     replica with junk packets and/or computationally heavy requests.  It
-//     follows WebSocket shuffle redirects exactly like a browser, and
-//     reports every replica address it discovers to the botmaster.
+// The botnet's hit-list side (paper §II-B).  Persistent bots — insiders
+// that join like browsers, follow shuffle redirects and report every
+// replica address they land on — are ClientSwarm members
+// (cloudsim/client_swarm.h).
 //
 //   Botmaster — aggregates the persistent bots' reconnaissance and
 //     periodically commands the naive bots to flood the currently known
@@ -19,65 +16,9 @@
 #include <string>
 #include <vector>
 
-#include "cloudsim/client_agent.h"
 #include "cloudsim/node.h"
-#include "core/attacker_strategy.h"
 
 namespace shuffledef::cloudsim {
-
-struct PersistentBotConfig {
-  ClientConfig client;             // join-flow parameters
-  NodeId botmaster = kInvalidNode;
-  double junk_rate_pps = 0.0;      // junk packets/s at the current replica
-  double heavy_interval_s = 0.0;   // 0 = no computational attack
-  double heavy_cpu_seconds = 0.2;  // CPU burned per heavy request
-
-  /// Shared attacker policy (non-owning; one core::AttackerStrategy object
-  /// serves the whole botnet, typically owned by the Scenario).  nullptr =
-  /// the legacy unconditional flood: the bot attacks from the moment it
-  /// connects, every round, and the world's event/draw sequence is exactly
-  /// the pre-registry one.
-  const core::AttackerStrategy* strategy = nullptr;
-  /// Sim-time length of one strategy round (the cadence at which the bot
-  /// re-evaluates decide_one).
-  double strategy_round_s = 1.0;
-  /// Replica-count hint handed to scanning strategies through
-  /// StrategyContext::replicas (the coupon-collector's scan target set).
-  core::Count strategy_replicas = 0;
-  /// Per-bot behavior stream, forked from the scenario RNG chain
-  /// (`rng().fork(salt).fork_small(bot_index)`), so bot decisions are
-  /// order-independent and never perturb the world's shared stream.
-  core::BotState strategy_state{};
-};
-
-class PersistentBot final : public ClientAgent {
- public:
-  PersistentBot(World& world, std::string name, PersistentBotConfig config);
-
-  [[nodiscard]] std::uint64_t junk_sent() const { return junk_sent_; }
-  [[nodiscard]] std::uint64_t heavy_sent() const { return heavy_sent_; }
-  /// Whether the strategy currently lets this bot emit attack traffic
-  /// (always true under the legacy null strategy).
-  [[nodiscard]] bool strategy_active() const { return active_; }
-
- protected:
-  void on_connected() override;
-  void on_migrated(NodeId new_replica) override;
-
- private:
-  void report_target();
-  void junk_tick();
-  void heavy_tick();
-  void strategy_tick();
-
-  PersistentBotConfig bot_config_;
-  core::BotState strategy_state_;
-  core::Count strategy_round_ = 0;
-  bool active_ = true;  // gated by the strategy; ticks keep their cadence
-  bool attacking_ = false;
-  std::uint64_t junk_sent_ = 0;
-  std::uint64_t heavy_sent_ = 0;
-};
 
 struct NaiveBotConfig {
   double junk_rate_pps = 100.0;  // spread across the current hit list

@@ -133,9 +133,8 @@ void ClientSwarm::start_walk() {
 }
 
 double ClientSwarm::exp_gap(std::int32_t i, double rate) {
-  // Exponential gap off the member's private stream (same inverse-CDF form
-  // as util::Rng::exponential, so cadences match the per-object engine in
-  // distribution).
+  // Exponential gap off the member's private stream (the inverse-CDF form
+  // of util::Rng::exponential).
   return -std::log1p(-stream_[static_cast<std::size_t>(i)].uniform()) / rate;
 }
 
@@ -188,10 +187,11 @@ void ClientSwarm::handle_connected(std::int32_t i, bool migrated) {
     flags_[s] &= static_cast<std::uint8_t>(~kMigrating);
     ++stats_.migrations_completed;
     stats_.migration_seconds_sum += now - migration_started_at_[s];
+    observe(MemberEvent::Kind::kMigration, i, migration_started_at_[s], now);
   }
   if (!is_bot(i)) return;
 
-  // ---- bot connect/migrate hooks (mirror PersistentBot) --------------------
+  // ---- bot connect/migrate hooks -------------------------------------------
   const auto k = static_cast<std::size_t>(i - first_bot_);
   bot_report(i);
   if (migrated) {
@@ -205,11 +205,14 @@ void ClientSwarm::handle_connected(std::int32_t i, bool migrated) {
   }
   if (bot_started_[k] != 0) return;  // cadences already running
   bot_started_[k] = 1;
-  if (config_.strategy == nullptr || config_.strategy->always_active()) {
-    bot_active_[k] = 1;
-  }
-  // First shot fires at connect (like the per-object ticks), then the
-  // sweep drives the cadence.
+  // A bot decides at its connect instant, then at every botnet-wide round:
+  // a strategy bot that waited for the next round boundary would hold its
+  // first shots for up to strategy_round_s.
+  bot_active_[k] = config_.strategy == nullptr ||
+                   config_.strategy->decide_one(
+                       core::StrategyContext{round_, config_.strategy_replicas},
+                       bot_state_[k]);
+  // First shot fires at connect, then the sweep drives the cadence.
   if (config_.bot_junk_rate_pps > 0.0) {
     if (bot_active_[k] != 0) {
       send_from(port_[s], replica_[s], MessageType::kJunkPacket,
@@ -231,8 +234,10 @@ void ClientSwarm::handle_connected(std::int32_t i, bool migrated) {
 
 void ClientSwarm::handle_timeout(std::int32_t i) {
   const auto s = static_cast<std::size_t>(i);
+  const double now = loop().now();
   ++stats_.timeouts;
-  if (++retries_[s] > config_.max_retries) {
+  observe(MemberEvent::Kind::kTimeout, i, deadline_[s] - timeout_s(i), now);
+  if (++retries_[s] > kMaxRetries) {
     ++stats_.rejoins;
     begin_join(i);
     return;
@@ -257,7 +262,7 @@ void ClientSwarm::handle_timeout(std::int32_t i) {
     default:
       return;
   }
-  deadline_[s] = loop().now() + timeout_s(i);
+  deadline_[s] = now + timeout_s(i);
 }
 
 void ClientSwarm::on_message(const Message& msg) {
@@ -289,6 +294,7 @@ void ClientSwarm::on_message(const Message& msg) {
       ++stats_.page_loads;
       stats_.page_load_seconds_sum += now - page_requested_at_[s];
       if (stats_.first_page_at < 0.0) stats_.first_page_at = now;
+      observe(MemberEvent::Kind::kPageLoad, i, page_requested_at_[s], now);
       retries_[s] = 0;
       if (ws_replica_[s] == replica_[s]) {
         // Reload on an already-connected replica: WebSocket still up.
@@ -321,8 +327,9 @@ void ClientSwarm::on_message(const Message& msg) {
     }
     case MessageType::kWsPush: {
       const auto& push = payload_as<WsPushPayload>(msg);
-      // Duplicate-safe, exactly like ClientAgent: a push to where we are
-      // already heading (or connected) is a no-op.
+      // Duplicate-safe: re-sent shuffle commands and injected duplicates can
+      // deliver one push twice, and a push to where the member is already
+      // heading (or connected) is a no-op, not a spurious reload.
       if (push.new_replica == replica_[s] &&
           ((flags_[s] & kMigrating) != 0 || ws_replica_[s] == replica_[s])) {
         break;
@@ -362,7 +369,7 @@ void ClientSwarm::scan_member(std::int32_t i, double now) {
     const auto k = static_cast<std::size_t>(i - first_bot_);
     // Cadence streams keep ticking (and drawing) even while the strategy
     // holds the bot dormant or the connection is down, so enabling a
-    // strategy never shifts the timing stream — the per-object contract.
+    // strategy never shifts the timing stream.
     const bool firing = bot_active_[k] != 0 && phase == kConnected &&
                         replica_[s] != kInvalidNode;
     std::uint16_t junk = 0;

@@ -1,27 +1,30 @@
-// Flat client/bot engine: the whole population as one Node (SoA columns).
+// Client and bot engine: the whole population as one Node (SoA columns).
 //
-// The per-object engine (ClientAgent / PersistentBot) spends most of a
-// large run allocating: one heap object per client, one heap-backed
-// std::function per timeout/heartbeat/browse timer, one per junk packet.
-// The ClientSwarm replaces all of that with contiguous columns — phase,
-// assigned replica, deadlines, per-member SmallRng streams — indexed by a
-// dense member id, exactly the technique the sim-layer client store uses.
+// Every browser and persistent bot of a cloudsim world is a member of one
+// ClientSwarm.  Its state lives in contiguous columns — phase, assigned
+// replica, deadlines, per-member SmallRng streams — indexed by a dense
+// member id, the technique the sim-layer client store uses, so one engine
+// carries 10 to 10^6 members without a heap object or scheduled closure per
+// client or timer.
 //
 // Mechanics:
 //
-//  * Every member still owns a real network address: World::attach_port
-//    gives the swarm one port per member, so the Network's NIC model, the
-//    load balancer's spoofing check, and replica whitelists are unchanged.
-//    `msg.dst - base_port()` recovers the member index in O(1).
+//  * Every member owns a real network address: World::attach_port gives the
+//    swarm one port per member, so the Network's NIC model, the load
+//    balancer's spoofing check, and replica whitelists see ordinary hosts.
+//    `msg.dst - base_port()` recovers the member index in O(1).  Member IPs
+//    are anonymous interned ids (World::alloc_ip).
 //  * Message-driven transitions (DNS replies, redirects, page loads,
-//    WebSocket pushes) run per message, mirroring ClientAgent's state
-//    machine field for field.
+//    WebSocket pushes) run per message, in the browser's join order: DNS ->
+//    load balancer -> page -> WebSocket, reloading the page from the new
+//    replica on a shuffle push (the measured migration).
 //  * Time-driven behaviour (request timeouts, heartbeats, browse reloads,
 //    bot junk/heavy cadences) runs in a periodic *sweep*: one repeating
 //    scheduled event scans the deadline columns instead of one scheduled
 //    closure per timer.  Deadlines therefore fire on sweep boundaries —
-//    quantized by at most `sweep_dt_s` — which is the documented accuracy
-//    contract of the flat engine.
+//    quantized by at most `sweep_dt_s` — which is the engine's documented
+//    accuracy contract.  A heartbeat pings `heartbeat_s` after the previous
+//    pong arrived.
 //  * The sweep's scan phase and the botnet's strategy rounds shard across
 //    util::ThreadPool::shared() under the deterministic-chunk contract:
 //    every draw comes from a per-member SmallRng and every write lands in
@@ -29,12 +32,16 @@
 //    `shard_threads` setting.  All sends happen in a serial emission pass
 //    in member-index order; the event loop stays single-threaded.
 //
-// Benign members join exactly like ClientAgents (DNS -> LB -> page ->
-// WebSocket) and bots are trailing members whose attack activity is decided
-// by a shared core::AttackerStrategy through its batched span API.
+// Bots are trailing members: they join like browsers (so they are
+// whitelisted insiders), report every replica they land on to the
+// botmaster, and attack it with junk packets and/or heavy requests while a
+// shared core::AttackerStrategy, run through its batched span API, keeps
+// them active.  Aggregates live in SwarmStats; callers that need
+// per-member records (page-load and migration times) install an observer.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -48,15 +55,15 @@ struct SwarmConfig {
   std::string service = "www.example.com";
   NodeId dns = kInvalidNode;
 
-  // Benign-member behaviour (mirrors ClientConfig).
+  // Benign-member behaviour.
   double request_timeout_s = 4.0;
-  int max_retries = 4;
   double browse_think_s = 0.0;   // 0 = load once (prototype-style)
-  double heartbeat_s = 0.0;      // 0 = no keepalive
+  /// WebSocket keepalive interval (0 = none).  A missed pong means the
+  /// replica died without pushing a redirect; the member rejoins via DNS.
+  double heartbeat_s = 0.0;
 
-  // Bot members (mirror PersistentBotConfig; bots never browse/heartbeat).
+  // Bot members (bots never browse or heartbeat).
   NodeId botmaster = kInvalidNode;
-  double bot_request_timeout_s = 4.0;
   double bot_junk_rate_pps = 0.0;
   double bot_heavy_interval_s = 0.0;
   double bot_heavy_cpu_seconds = 0.2;
@@ -65,7 +72,7 @@ struct SwarmConfig {
   double strategy_round_s = 1.0;
   std::int32_t strategy_replicas = 0;
 
-  /// Sweep cadence: the timer-quantization granularity of the flat engine.
+  /// Sweep cadence: the engine's timer-quantization granularity.
   double sweep_dt_s = 0.25;
   /// Worker threads for the sweep scan and batched strategy rounds (1 =
   /// serial).  Bit-identical results at every setting.
@@ -76,8 +83,8 @@ struct SwarmConfig {
   util::Rng behavior_root{0};
 };
 
-/// Aggregate population statistics (the flat engine trades the per-object
-/// engine's per-client record vectors for counters + sums).
+/// Aggregate population statistics: counters and sums over every member,
+/// bots included.
 struct SwarmStats {
   std::int64_t page_loads = 0;
   std::int64_t timeouts = 0;
@@ -91,9 +98,36 @@ struct SwarmStats {
   double migration_seconds_sum = 0.0;     // over migrations_completed
 };
 
+/// One per-member record, handed to the observer as it happens.
+struct MemberEvent {
+  enum class Kind : std::uint8_t {
+    kPageLoad,   // start: request sent; end: response received
+    kTimeout,    // start: request sent; end: the sweep that gave up on it
+    kMigration,  // start: shuffle push received; end: WebSocket reopened
+  };
+  Kind kind = Kind::kPageLoad;
+  std::int32_t member = 0;
+  double start_s = 0.0;
+  double end_s = 0.0;
+  [[nodiscard]] double duration() const { return end_s - start_s; }
+};
+
 class ClientSwarm final : public Node {
  public:
+  /// Requests a member retries before rejoining from DNS.
+  static constexpr int kMaxRetries = 4;
+  /// Bots' request timeout (benign members use SwarmConfig's).
+  static constexpr double kBotRequestTimeoutS = 4.0;
+
   ClientSwarm(World& world, std::string name, SwarmConfig config);
+
+  /// Called, in event order, for every page load, request timeout and
+  /// completed migration of any member.  Null (the default) records
+  /// nothing; installing one changes no simulated bit.  Members start from
+  /// scheduled events, so an observer set before the first run sees all.
+  void set_observer(std::function<void(const MemberEvent&)> observer) {
+    observer_ = std::move(observer);
+  }
 
   /// Add one benign member (before finalize()).  Returns its member index.
   std::int32_t add_client(const NicConfig& nic, double start_time_s);
@@ -135,7 +169,7 @@ class ClientSwarm final : public Node {
   [[nodiscard]] const SwarmStats& stats() const { return stats_; }
 
  private:
-  // Phases mirror ClientAgent::Phase.
+  // Member phases, in join order.
   static constexpr std::uint8_t kIdle = 0;
   static constexpr std::uint8_t kResolving = 1;
   static constexpr std::uint8_t kContactingLb = 2;
@@ -163,8 +197,7 @@ class ClientSwarm final : public Node {
   }
   [[nodiscard]] bool is_bot(std::int32_t i) const { return i >= first_bot_; }
   [[nodiscard]] double timeout_s(std::int32_t i) const {
-    return is_bot(i) ? config_.bot_request_timeout_s
-                     : config_.request_timeout_s;
+    return is_bot(i) ? kBotRequestTimeoutS : config_.request_timeout_s;
   }
   [[nodiscard]] double exp_gap(std::int32_t i, double rate);
 
@@ -177,6 +210,10 @@ class ClientSwarm final : public Node {
   void handle_connected(std::int32_t i, bool migrated);
   void handle_timeout(std::int32_t i);
   void bot_report(std::int32_t i);
+  void observe(MemberEvent::Kind kind, std::int32_t i, double start_s,
+               double end_s) {
+    if (observer_) observer_(MemberEvent{kind, i, start_s, end_s});
+  }
 
   void sweep();
   void scan_member(std::int32_t i, double now);
@@ -224,6 +261,7 @@ class ClientSwarm final : public Node {
   std::vector<std::uint16_t> heavy_due_;   // sweep scratch
 
   SwarmStats stats_;
+  std::function<void(const MemberEvent&)> observer_;
 };
 
 }  // namespace shuffledef::cloudsim

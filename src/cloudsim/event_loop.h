@@ -69,10 +69,10 @@ class EventLoop {
   /// Run events with time <= t_end; afterwards now() == t_end (or the time
   /// of the event that hit the event budget).  Returns false if the event
   /// budget was exhausted.
-  bool run_until(SimTime t_end);
+  [[nodiscard]] bool run_until(SimTime t_end);
 
   /// Drain the queue completely.  Returns false on event-budget exhaustion.
-  bool run();
+  [[nodiscard]] bool run();
 
   /// Guard against runaway simulations (default: 200M events).
   void set_event_budget(std::uint64_t budget) noexcept { budget_ = budget; }

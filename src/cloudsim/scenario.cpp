@@ -86,7 +86,6 @@ Scenario::Scenario(ScenarioConfig config) {
     for (const auto& v : violations) message += "; " + v;
     throw std::invalid_argument(message);
   }
-  engine_ = config.client_engine;
   // Replica-side shuffle fan-out shards on the same knob as the swarm.
   config.replica.shard_threads = config.shard_threads;
 
@@ -115,12 +114,10 @@ Scenario::Scenario(ScenarioConfig config) {
   world_->loop().set_registry(registry_);
   world_->network().set_registry(registry_);
   if (config.record_net_trace) world_->network().enable_trace();
-  if (engine_ == ClientEngine::kFlat) {
-    const auto population = static_cast<std::size_t>(
-        config.clients + config.persistent_bots + config.naive_bots);
-    world_->network().reserve_messages(population / 4 + 1024);
-    world_->loop().reserve(population + 1024);
-  }
+  const auto population = static_cast<std::size_t>(
+      config.clients + config.persistent_bots + config.naive_bots);
+  world_->network().reserve_messages(population / 4 + 1024);
+  world_->loop().reserve(population + 1024);
 
   // Fault injection: the injector draws from its own substream (forked off
   // the scenario seed), so a given seed replays bit-identically and an
@@ -195,13 +192,9 @@ Scenario::Scenario(ScenarioConfig config) {
 }
 
 void Scenario::build_population(const ScenarioConfig& config) {
-  // Botmaster first under the flat engine (swarm member ports must stay a
-  // contiguous range, so no other node may attach between add_* calls);
-  // after the clients under the per-object engine (the historical spawn
-  // order, which fault-replay goldens pin via port ids).
-  const bool flat = engine_ == ClientEngine::kFlat;
-  const bool botnet = config.persistent_bots > 0 || config.naive_bots > 0;
-  if (flat && botnet) {
+  // The botmaster attaches before the swarm: member ports must stay a
+  // contiguous range, so no other node may attach between add_* calls.
+  if (config.persistent_bots > 0 || config.naive_bots > 0) {
     botmaster_ = world_->spawn<Botmaster>(config.infra_nic, "botmaster",
                                           BotmasterConfig{});
   }
@@ -217,57 +210,34 @@ void Scenario::build_population(const ScenarioConfig& config) {
   constexpr std::uint64_t kClientBehaviorStreamSalt = 202;
   const util::Rng behavior_root = world_->rng().fork(kBotBehaviorStreamSalt);
 
-  if (flat) {
-    SwarmConfig sc;
-    sc.service = config.service;
-    sc.dns = dns_->id();
-    sc.request_timeout_s = config.client_request_timeout_s;
-    sc.browse_think_s = config.client_browse_think_s;
-    sc.heartbeat_s = config.client_heartbeat_s;
-    sc.botmaster = botmaster_ != nullptr ? botmaster_->id() : kInvalidNode;
-    sc.bot_junk_rate_pps = config.bot_junk_rate_pps;
-    sc.bot_heavy_interval_s = config.bot_heavy_interval_s;
-    sc.bot_heavy_cpu_seconds = config.bot_heavy_cpu_seconds;
-    sc.strategy = bot_strategy_.get();
-    sc.strategy_round_s = config.bot_strategy_round_s;
-    sc.strategy_replicas = config.initial_replicas;
-    sc.sweep_dt_s = config.swarm_sweep_dt_s;
-    sc.shard_threads = config.shard_threads;
-    sc.behavior_root = world_->rng().fork(kClientBehaviorStreamSalt);
-    swarm_ = world_->spawn<ClientSwarm>(config.infra_nic, "swarm",
-                                        std::move(sc));
-  }
+  SwarmConfig sc;
+  sc.service = config.service;
+  sc.dns = dns_->id();
+  sc.request_timeout_s = config.client_request_timeout_s;
+  sc.browse_think_s = config.client_browse_think_s;
+  sc.heartbeat_s = config.client_heartbeat_s;
+  sc.botmaster = botmaster_ != nullptr ? botmaster_->id() : kInvalidNode;
+  sc.bot_junk_rate_pps = config.bot_junk_rate_pps;
+  sc.bot_heavy_interval_s = config.bot_heavy_interval_s;
+  sc.bot_heavy_cpu_seconds = config.bot_heavy_cpu_seconds;
+  sc.strategy = bot_strategy_.get();
+  sc.strategy_round_s = config.bot_strategy_round_s;
+  sc.strategy_replicas = config.initial_replicas;
+  sc.sweep_dt_s = config.swarm_sweep_dt_s;
+  sc.shard_threads = config.shard_threads;
+  sc.behavior_root = world_->rng().fork(kClientBehaviorStreamSalt);
+  swarm_ = world_->spawn<ClientSwarm>(config.infra_nic, "swarm",
+                                      std::move(sc));
 
-  // Benign clients: geo spread via per-client base latency.  Both engines
-  // consume the identical world-rng draw sequence (latency, start) per
-  // member, so the infrastructure's stream stays aligned across engines.
+  // Benign clients: geo spread via per-client base latency, then a start
+  // instant, both drawn from the world stream.
   auto& rng = world_->rng();
   for (std::int32_t c = 0; c < config.clients; ++c) {
     NicConfig nic = config.client_nic;
     nic.base_latency_s =
         config.client_latency_min_s +
         rng.uniform() * (config.client_latency_max_s - config.client_latency_min_s);
-    const double start = rng.uniform() * config.client_start_spread_s;
-    if (flat) {
-      swarm_->add_client(nic, start);
-      continue;
-    }
-    ClientConfig cc;
-    cc.service = config.service;
-    cc.ip = "10.0." + std::to_string(c / 250) + "." + std::to_string(c % 250);
-    cc.dns = dns_->id();
-    cc.start_time_s = start;
-    cc.request_timeout_s = config.client_request_timeout_s;
-    cc.browse_think_s = config.client_browse_think_s;
-    cc.heartbeat_s = config.client_heartbeat_s;
-    clients_.push_back(world_->spawn<ClientAgent>(
-        nic, "client-" + std::to_string(c), cc));
-  }
-
-  // Botnet.
-  if (!flat && botnet) {
-    botmaster_ = world_->spawn<Botmaster>(config.infra_nic, "botmaster",
-                                          BotmasterConfig{});
+    swarm_->add_client(nic, rng.uniform() * config.client_start_spread_s);
   }
   for (std::int32_t b = 0; b < config.persistent_bots; ++b) {
     NicConfig nic = config.client_nic;
@@ -276,29 +246,11 @@ void Scenario::build_population(const ScenarioConfig& config) {
         rng.uniform() * (config.client_latency_max_s - config.client_latency_min_s);
     const double start =
         config.bot_start_offset_s + rng.uniform() * config.bot_start_spread_s;
-    core::BotState state(
-        behavior_root.fork_small(static_cast<std::uint64_t>(b)));
-    if (flat) {
-      swarm_->add_bot(nic, start, state);
-      continue;
-    }
-    PersistentBotConfig pc;
-    pc.client.service = config.service;
-    pc.client.ip = "66.6." + std::to_string(b / 250) + "." + std::to_string(b % 250);
-    pc.client.dns = dns_->id();
-    pc.client.start_time_s = start;
-    pc.botmaster = botmaster_ != nullptr ? botmaster_->id() : kInvalidNode;
-    pc.junk_rate_pps = config.bot_junk_rate_pps;
-    pc.heavy_interval_s = config.bot_heavy_interval_s;
-    pc.heavy_cpu_seconds = config.bot_heavy_cpu_seconds;
-    pc.strategy = bot_strategy_.get();
-    pc.strategy_round_s = config.bot_strategy_round_s;
-    pc.strategy_replicas = config.initial_replicas;
-    pc.strategy_state = state;
-    persistent_bots_.push_back(world_->spawn<PersistentBot>(
-        nic, "pbot-" + std::to_string(b), pc));
+    swarm_->add_bot(nic, start,
+                    core::BotState(behavior_root.fork_small(
+                        static_cast<std::uint64_t>(b))));
   }
-  if (flat && swarm_ != nullptr) swarm_->finalize();
+  swarm_->finalize();
   for (std::int32_t b = 0; b < config.naive_bots; ++b) {
     NicConfig nic = config.client_nic;
     auto* bot = world_->spawn<NaiveBot>(
@@ -335,30 +287,15 @@ ReplicaServer* Scenario::replica(NodeId id) {
 }
 
 std::int64_t Scenario::clients_connected() const {
-  if (swarm_ != nullptr) return swarm_->clients_connected();
-  std::int64_t n = 0;
-  for (const auto* c : clients_) {
-    if (c->connected()) ++n;
-  }
-  return n;
+  return swarm_->clients_connected();
 }
 
 std::int64_t Scenario::replicas_hosting_bots() const {
   std::set<NodeId> bot_homes;
-  if (swarm_ != nullptr) {
-    const std::int32_t benign = swarm_->benign_members();
-    for (std::int32_t k = 0; k < swarm_->bot_members(); ++k) {
-      const NodeId r = swarm_->current_replica(benign + k);
-      if (r != kInvalidNode && world_->network().is_attached(r)) {
-        bot_homes.insert(r);
-      }
-    }
-    return static_cast<std::int64_t>(bot_homes.size());
-  }
-  for (const auto* b : persistent_bots_) {
-    if (b->current_replica() != kInvalidNode &&
-        world_->network().is_attached(b->current_replica())) {
-      bot_homes.insert(b->current_replica());
+  for (std::int32_t i = swarm_->benign_members(); i < swarm_->members(); ++i) {
+    const NodeId r = swarm_->current_replica(i);
+    if (r != kInvalidNode && world_->network().is_attached(r)) {
+      bot_homes.insert(r);
     }
   }
   return static_cast<std::int64_t>(bot_homes.size());
@@ -366,28 +303,15 @@ std::int64_t Scenario::replicas_hosting_bots() const {
 
 std::int64_t Scenario::benign_clients_isolated_from_bots() const {
   std::set<NodeId> bot_homes;
+  const std::int32_t benign = swarm_->benign_members();
+  for (std::int32_t i = benign; i < swarm_->members(); ++i) {
+    bot_homes.insert(swarm_->current_replica(i));
+  }
   std::int64_t n = 0;
-  if (swarm_ != nullptr) {
-    const std::int32_t benign = swarm_->benign_members();
-    for (std::int32_t k = 0; k < swarm_->bot_members(); ++k) {
-      bot_homes.insert(swarm_->current_replica(benign + k));
-    }
-    for (std::int32_t i = 0; i < benign; ++i) {
-      const NodeId r = swarm_->current_replica(i);
-      if (r != kInvalidNode && world_->network().is_attached(r) &&
-          !bot_homes.contains(r)) {
-        ++n;
-      }
-    }
-    return n;
-  }
-  for (const auto* b : persistent_bots_) {
-    bot_homes.insert(b->current_replica());
-  }
-  for (const auto* c : clients_) {
-    if (c->current_replica() != kInvalidNode &&
-        world_->network().is_attached(c->current_replica()) &&
-        !bot_homes.contains(c->current_replica())) {
+  for (std::int32_t i = 0; i < benign; ++i) {
+    const NodeId r = swarm_->current_replica(i);
+    if (r != kInvalidNode && world_->network().is_attached(r) &&
+        !bot_homes.contains(r)) {
       ++n;
     }
   }

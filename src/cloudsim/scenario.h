@@ -3,7 +3,9 @@
 // One call wires up the whole Figure-1 architecture — DNS, per-domain load
 // balancers, initial replicas, the coordination server, the cloud provider
 // — plus a client population and (optionally) a botnet with persistent and
-// naive bots.  Tests, examples, and the Figure-12 bench all build on this.
+// naive bots.  Browsers and persistent bots are members of one ClientSwarm
+// (cloudsim/client_swarm.h).  Tests, examples, and the Figure-12 bench all
+// build on this.
 #pragma once
 
 #include <memory>
@@ -11,7 +13,6 @@
 #include <vector>
 
 #include "cloudsim/botnet.h"
-#include "cloudsim/client_agent.h"
 #include "cloudsim/client_swarm.h"
 #include "cloudsim/cloud_provider.h"
 #include "cloudsim/coordination_server.h"
@@ -25,18 +26,10 @@
 
 namespace shuffledef::cloudsim {
 
-/// Which client/bot engine a Scenario builds.
-///
-///  * kPerObject — one ClientAgent / PersistentBot heap object per member
-///    (the original engine; per-member record vectors, per-timer closures).
-///  * kFlat — one ClientSwarm node holding the whole population as SoA
-///    columns.  Scales to 10^6 members; timers are quantized to
-///    `swarm_sweep_dt_s` and per-member stats collapse to aggregates (see
-///    cloudsim/client_swarm.h).
-///
-/// Both engines send through the same network delivery engine (the slot
-/// arena and per-lane walkers of cloudsim/network.h).
-enum class ClientEngine { kPerObject, kFlat };
+/// Selects nothing: ClientSwarm is the only client engine.  The enum and
+/// ScenarioConfig::client_engine remain only because perfbench/runner.cpp
+/// assigns kFlat; both go when that line does.
+enum class ClientEngine { kFlat };
 
 struct ScenarioConfig {
   std::uint64_t seed = 1;
@@ -78,8 +71,7 @@ struct ScenarioConfig {
   double bot_start_spread_s = 1.0;
   /// Delay before any bot starts (a step-function attack wave: the world
   /// runs clean until the offset, then the whole botnet arrives within the
-  /// spread).  Both engines draw the same rng sequence, so the step keeps
-  /// them aligned.
+  /// spread).
   double bot_start_offset_s = 0.0;
   double bot_junk_rate_pps = 0.0;
   double bot_heavy_interval_s = 0.0;
@@ -96,15 +88,15 @@ struct ScenarioConfig {
   /// Sim-time length of one strategy round for the bots.
   double bot_strategy_round_s = 1.0;
 
-  // ---- engine selection ------------------------------------------------------
-  /// Per-object agents (default) or the flat SoA ClientSwarm.
-  ClientEngine client_engine = ClientEngine::kPerObject;
-  /// Worker threads for the flat engine's sweep scan, its batched strategy
+  // ---- client engine ---------------------------------------------------------
+  /// Read by nothing (see ClientEngine).
+  ClientEngine client_engine = ClientEngine::kFlat;
+  /// Worker threads for the swarm's sweep scan, its batched strategy
   /// rounds, and the replicas' shuffle-push fan-out build (1 = serial;
   /// results are bit-identical at every setting).
   std::int32_t shard_threads = 1;
-  /// Flat engine timer granularity (timeouts/heartbeats/bot cadences fire
-  /// on sweep boundaries).
+  /// Swarm timer granularity (timeouts/heartbeats/bot cadences fire on
+  /// sweep boundaries).
   double swarm_sweep_dt_s = 0.25;
 
   NetworkConfig network;
@@ -141,7 +133,7 @@ class Scenario {
   explicit Scenario(ScenarioConfig config);
 
   /// Advance simulated time.  Returns false if the event budget blew up.
-  bool run_until(SimTime t);
+  [[nodiscard]] bool run_until(SimTime t);
 
   [[nodiscard]] World& world() { return *world_; }
   [[nodiscard]] SimTime now() const { return world_->now(); }
@@ -155,15 +147,9 @@ class Scenario {
   [[nodiscard]] const std::vector<NodeId>& initial_replicas() const {
     return initial_replicas_;
   }
-  /// Per-object engine only (empty under ClientEngine::kFlat).
-  [[nodiscard]] const std::vector<ClientAgent*>& clients() const {
-    return clients_;
-  }
-  /// Flat engine only (nullptr under ClientEngine::kPerObject).
+  /// Every benign client (members [0, clients)) and persistent bot
+  /// (the trailing members).
   [[nodiscard]] ClientSwarm* swarm() { return swarm_; }
-  [[nodiscard]] const std::vector<PersistentBot*>& persistent_bots() const {
-    return persistent_bots_;
-  }
   [[nodiscard]] const std::vector<NaiveBot*>& naive_bots() const {
     return naive_bots_;
   }
@@ -209,7 +195,6 @@ class Scenario {
   void crash_one_replica();
   void build_population(const ScenarioConfig& config);
 
-  ClientEngine engine_ = ClientEngine::kPerObject;
   std::unique_ptr<obs::Registry> owned_registry_;
   obs::Registry* registry_ = nullptr;  // effective sink (owned or external)
   std::unique_ptr<core::AttackerStrategy> bot_strategy_;
@@ -220,9 +205,7 @@ class Scenario {
   CoordinationServer* coordinator_ = nullptr;
   std::vector<LoadBalancer*> load_balancers_;
   std::vector<NodeId> initial_replicas_;
-  std::vector<ClientAgent*> clients_;
   ClientSwarm* swarm_ = nullptr;
-  std::vector<PersistentBot*> persistent_bots_;
   std::vector<NaiveBot*> naive_bots_;
   Botmaster* botmaster_ = nullptr;
 };

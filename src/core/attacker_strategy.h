@@ -134,7 +134,7 @@ struct StrategyOptions {
 /// call the batched `decide` on their SoA columns (shardable across threads
 /// — per-bot streams make chunk boundaries irrelevant) and the scalar `_one`
 /// forms per bot (ClientLevelSimulator's sharded shuffle pass, ClientSwarm's
-/// migration hook, cloudsim's PersistentBot).
+/// connect and migration hooks).
 class AttackerStrategy {
  public:
   /// on_shuffled_one return value meaning "the bot stays in the pool".

@@ -1,10 +1,11 @@
-// Browsing-workload behaviour of the client agent.
+// Browsing, keepalive and timeout behaviour of one swarm member.
 #include <gtest/gtest.h>
 
-#include "cloudsim/client_agent.h"
+#include "cloudsim/client_swarm.h"
 #include "cloudsim/dns_server.h"
 #include "cloudsim/load_balancer.h"
 #include "cloudsim/replica_server.h"
+#include "member_log.h"
 
 namespace shuffledef::cloudsim {
 namespace {
@@ -23,13 +24,32 @@ struct Rig {
     dns->register_load_balancer("svc", lb->id());
     lb->add_replica(r1->id());
   }
-  ClientAgent* add_browser(const std::string& ip, double think_s) {
-    ClientConfig cc;
-    cc.service = "svc";
-    cc.ip = ip;
-    cc.dns = dns->id();
-    cc.browse_think_s = think_s;
-    return world.spawn<ClientAgent>(nic(0.02), "browser-" + ip, cc);
+  /// One client joining at t = now: a one-member swarm.
+  ClientSwarm* add_client(SwarmConfig sc, double latency = 0.02) {
+    sc.dns = dns->id();
+    auto* swarm = world.spawn<ClientSwarm>(nic(), "client", std::move(sc));
+    swarm->add_client(nic(latency), 0.0);
+    swarm->finalize();
+    return swarm;
+  }
+  ClientSwarm* add_browser(double think_s) {
+    SwarmConfig sc;
+    sc.service = "svc";
+    sc.browse_think_s = think_s;
+    return add_client(sc);
+  }
+  /// Ships member 0 of `c` from r1 to r2 the way the coordinator does:
+  /// whitelist on the target, then the shuffle command to the old replica.
+  void migrate_to_r2(ClientSwarm* c) {
+    Message wl{lb->id(), r2->id(), MessageType::kWhitelistAdd,
+               kControlMessageBytes,
+               WhitelistAddPayload{c->member_ip(0), c->member_port(0)}};
+    world.network().send(std::move(wl));
+    ShuffleCommandPayload cmd;
+    cmd.client_to_replica.emplace_back(c->member_port(0), r2->id());
+    Message m{lb->id(), r1->id(), MessageType::kShuffleCommand,
+              kControlMessageBytes, cmd};
+    world.network().send(std::move(m));
   }
   World world;
   DnsServer* dns;
@@ -38,93 +58,86 @@ struct Rig {
   ReplicaServer* r2;
 };
 
+constexpr auto kPageLoad = MemberEvent::Kind::kPageLoad;
+
 TEST(BrowsingClient, ReloadsRepeatedly) {
   Rig rig;
-  auto* c = rig.add_browser("1.1.1.1", 1.0);
-  rig.world.loop().run_until(30.0);
-  ASSERT_TRUE(c->connected());
+  auto* c = rig.add_browser(1.0);
+  MemberLog log(*c);
+  ASSERT_TRUE(rig.world.loop().run_until(30.0));
+  ASSERT_TRUE(c->connected(0));
   // ~30s of browsing at ~1s think time: plenty of loads.
-  EXPECT_GE(c->stats().page_loads.size(), 10u);
+  const auto loads = log.of(0, kPageLoad);
+  EXPECT_GE(loads.size(), 10u);
   EXPECT_GT(rig.r1->stats().pages_served, 10u);
   // Timestamps are ordered and self-consistent.
   double prev = -1.0;
-  for (const auto& load : c->stats().page_loads) {
+  for (const auto& load : loads) {
     EXPECT_GT(load.duration(), 0.0);
-    EXPECT_GE(load.completed_at, prev);
-    prev = load.completed_at;
+    EXPECT_GE(load.end_s, prev);
+    prev = load.end_s;
   }
 }
 
 TEST(BrowsingClient, NoReloadsWhenThinkTimeZero) {
   Rig rig;
-  auto* c = rig.add_browser("1.1.1.2", 0.0);
-  rig.world.loop().run_until(20.0);
-  ASSERT_TRUE(c->connected());
-  EXPECT_EQ(c->stats().page_loads.size(), 1u);  // prototype behaviour
+  auto* c = rig.add_browser(0.0);
+  MemberLog log(*c);
+  ASSERT_TRUE(rig.world.loop().run_until(20.0));
+  ASSERT_TRUE(c->connected(0));
+  EXPECT_EQ(log.of(0, kPageLoad).size(), 1u);  // prototype behaviour
 }
 
 TEST(BrowsingClient, KeepsBrowsingAcrossAMigration) {
   Rig rig;
-  auto* c = rig.add_browser("1.1.1.3", 0.5);
-  rig.world.loop().run_until(10.0);
-  ASSERT_TRUE(c->connected());
-  const auto loads_before = c->stats().page_loads.size();
+  auto* c = rig.add_browser(0.5);
+  MemberLog log(*c);
+  // Reloads start on sweep boundaries (every 0.25 s) and finish well within
+  // 0.1 s, so between boundaries the browser is connected, not mid-reload.
+  ASSERT_TRUE(rig.world.loop().run_until(10.1));
+  ASSERT_TRUE(c->connected(0));
+  const auto loads_before = log.of(0, kPageLoad).size();
 
-  // Coordinator-style migration r1 -> r2.
-  rig.world.loop().schedule_at(10.5, [&] {
-    Message wl{rig.lb->id(), rig.r2->id(), MessageType::kWhitelistAdd,
-               kControlMessageBytes,
-               WhitelistAddPayload{rig.world.intern_ip("1.1.1.3"), c->id()}};
-    rig.world.network().send(std::move(wl));
-    ShuffleCommandPayload cmd;
-    cmd.client_to_replica.emplace_back(c->id(), rig.r2->id());
-    Message m{rig.lb->id(), rig.r1->id(), MessageType::kShuffleCommand,
-              kControlMessageBytes, cmd};
-    rig.world.network().send(std::move(m));
-  });
-  rig.world.loop().run_until(25.0);
-  EXPECT_TRUE(c->connected());
-  EXPECT_EQ(c->current_replica(), rig.r2->id());
-  ASSERT_EQ(c->stats().migrations.size(), 1u);
+  rig.world.loop().schedule_at(10.5, [&] { rig.migrate_to_r2(c); });
+  ASSERT_TRUE(rig.world.loop().run_until(25.0));
+  EXPECT_TRUE(c->connected(0));
+  EXPECT_EQ(c->current_replica(0), rig.r2->id());
+  ASSERT_EQ(log.of(0, MemberEvent::Kind::kMigration).size(), 1u);
   // Browsing continued on the new replica.
-  EXPECT_GT(c->stats().page_loads.size(), loads_before + 5);
+  EXPECT_GT(log.of(0, kPageLoad).size(), loads_before + 5);
   EXPECT_GT(rig.r2->stats().pages_served, 5u);
 }
 
 TEST(HeartbeatClient, DetectsSilentReplicaDeathAndRejoins) {
   Rig rig;
   rig.lb->add_replica(rig.r2->id());
-  ClientConfig cc;
-  cc.service = "svc";
-  cc.ip = "2.2.2.1";
-  cc.dns = rig.dns->id();
-  cc.heartbeat_s = 1.0;
-  cc.request_timeout_s = 1.0;
-  auto* c = rig.world.spawn<ClientAgent>(nic(0.02), "hb-client", cc);
-  rig.world.loop().run_until(5.0);
-  ASSERT_TRUE(c->connected());
-  const NodeId home = c->current_replica();
+  SwarmConfig sc;
+  sc.service = "svc";
+  sc.heartbeat_s = 1.0;
+  sc.request_timeout_s = 1.0;
+  auto* c = rig.add_client(sc);
+  ASSERT_TRUE(rig.world.loop().run_until(5.0));
+  ASSERT_TRUE(c->connected(0));
+  const NodeId home = c->current_replica(0);
 
   // The replica dies WITHOUT any shuffle command (instance failure).
   rig.world.retire(home);
-  rig.world.loop().run_until(20.0);
+  ASSERT_TRUE(rig.world.loop().run_until(20.0));
 
   EXPECT_GE(c->stats().heartbeat_failures, 1);
-  EXPECT_TRUE(c->connected());
-  EXPECT_NE(c->current_replica(), home);  // recovered onto the survivor
+  EXPECT_TRUE(c->connected(0));
+  EXPECT_NE(c->current_replica(0), home);  // recovered onto the survivor
 }
 
 TEST(HeartbeatClient, QuietConnectionStaysUpWithoutRejoins) {
   Rig rig;
-  ClientConfig cc;
-  cc.service = "svc";
-  cc.ip = "2.2.2.2";
-  cc.dns = rig.dns->id();
-  cc.heartbeat_s = 0.5;
-  cc.request_timeout_s = 0.5;  // ping cycle = heartbeat + pong wait = 1 s
-  auto* c = rig.world.spawn<ClientAgent>(nic(0.02), "hb-quiet", cc);
-  rig.world.loop().run_until(30.0);
-  EXPECT_TRUE(c->connected());
+  SwarmConfig sc;
+  sc.service = "svc";
+  sc.heartbeat_s = 0.5;  // a ping 0.5 s after each pong
+  sc.request_timeout_s = 0.5;
+  auto* c = rig.add_client(sc);
+  ASSERT_TRUE(rig.world.loop().run_until(30.0));
+  EXPECT_TRUE(c->connected(0));
   EXPECT_EQ(c->stats().heartbeat_failures, 0);
   EXPECT_EQ(c->stats().rejoins, 0);
   // Pings actually flowed.
@@ -133,30 +146,18 @@ TEST(HeartbeatClient, QuietConnectionStaysUpWithoutRejoins) {
 
 TEST(HeartbeatClient, SurvivesAPushMigrationWithoutFalseAlarms) {
   Rig rig;
-  ClientConfig cc;
-  cc.service = "svc";
-  cc.ip = "2.2.2.3";
-  cc.dns = rig.dns->id();
-  cc.heartbeat_s = 0.5;
-  auto* c = rig.world.spawn<ClientAgent>(nic(0.02), "hb-migrate", cc);
-  rig.world.loop().run_until(5.0);
-  ASSERT_TRUE(c->connected());
-  ASSERT_EQ(c->current_replica(), rig.r1->id());
+  SwarmConfig sc;
+  sc.service = "svc";
+  sc.heartbeat_s = 0.5;
+  auto* c = rig.add_client(sc);
+  ASSERT_TRUE(rig.world.loop().run_until(5.0));
+  ASSERT_TRUE(c->connected(0));
+  ASSERT_EQ(c->current_replica(0), rig.r1->id());
 
-  rig.world.loop().schedule_at(6.0, [&] {
-    Message wl{rig.lb->id(), rig.r2->id(), MessageType::kWhitelistAdd,
-               kControlMessageBytes,
-               WhitelistAddPayload{rig.world.intern_ip("2.2.2.3"), c->id()}};
-    rig.world.network().send(std::move(wl));
-    ShuffleCommandPayload cmd;
-    cmd.client_to_replica.emplace_back(c->id(), rig.r2->id());
-    Message m{rig.lb->id(), rig.r1->id(), MessageType::kShuffleCommand,
-              kControlMessageBytes, cmd};
-    rig.world.network().send(std::move(m));
-  });
-  rig.world.loop().run_until(30.0);
-  EXPECT_TRUE(c->connected());
-  EXPECT_EQ(c->current_replica(), rig.r2->id());
+  rig.world.loop().schedule_at(6.0, [&] { rig.migrate_to_r2(c); });
+  ASSERT_TRUE(rig.world.loop().run_until(30.0));
+  EXPECT_TRUE(c->connected(0));
+  EXPECT_EQ(c->current_replica(0), rig.r2->id());
   // The push-based migration must not be misread as a dead WebSocket.
   EXPECT_EQ(c->stats().heartbeat_failures, 0);
   EXPECT_EQ(c->stats().rejoins, 0);
@@ -164,20 +165,19 @@ TEST(HeartbeatClient, SurvivesAPushMigrationWithoutFalseAlarms) {
 
 TEST(BrowsingClient, TimeoutsAreTimestamped) {
   Rig rig;
-  ClientConfig cc;
-  cc.service = "nonexistent";
-  cc.ip = "1.1.1.4";
-  cc.dns = rig.dns->id();
-  cc.request_timeout_s = 0.5;
-  auto* c = rig.world.spawn<ClientAgent>(nic(), "lost", cc);
-  rig.world.loop().run_until(5.0);
-  EXPECT_FALSE(c->connected());
-  ASSERT_GT(c->stats().timeout_at.size(), 0u);
-  EXPECT_EQ(static_cast<int>(c->stats().timeout_at.size()),
-            c->stats().timeouts);
-  for (const double t : c->stats().timeout_at) {
-    EXPECT_GE(t, 0.5);
-    EXPECT_LE(t, 5.0);
+  SwarmConfig sc;
+  sc.service = "nonexistent";
+  sc.request_timeout_s = 0.5;
+  auto* c = rig.add_client(sc, 0.005);
+  MemberLog log(*c);
+  ASSERT_TRUE(rig.world.loop().run_until(5.0));
+  EXPECT_FALSE(c->connected(0));
+  const auto timeouts = log.of(0, MemberEvent::Kind::kTimeout);
+  ASSERT_GT(timeouts.size(), 0u);
+  EXPECT_EQ(static_cast<std::int64_t>(timeouts.size()), c->stats().timeouts);
+  for (const auto& t : timeouts) {
+    EXPECT_GE(t.end_s, 0.5);
+    EXPECT_LE(t.end_s, 5.0);
   }
 }
 

@@ -33,7 +33,7 @@ TEST(EventLoop, SameTimeFiresInScheduleOrder) {
   for (int i = 0; i < 10; ++i) {
     loop.schedule_at(1.0, [&, i] { order.push_back(i); });
   }
-  loop.run();
+  ASSERT_TRUE(loop.run());
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
@@ -41,7 +41,7 @@ TEST(EventLoop, NowAdvancesWithEvents) {
   EventLoop loop;
   double seen = -1.0;
   loop.schedule_at(5.5, [&] { seen = loop.now(); });
-  loop.run();
+  ASSERT_TRUE(loop.run());
   EXPECT_DOUBLE_EQ(seen, 5.5);
   EXPECT_DOUBLE_EQ(loop.now(), 5.5);
 }
@@ -55,7 +55,7 @@ TEST(EventLoop, RunUntilStopsAtBoundaryAndAdvancesClock) {
   EXPECT_EQ(fired, 1);
   EXPECT_DOUBLE_EQ(loop.now(), 5.0);
   EXPECT_FALSE(loop.empty());
-  loop.run_until(10.0);
+  ASSERT_TRUE(loop.run_until(10.0));
   EXPECT_EQ(fired, 2);
 }
 
@@ -66,7 +66,7 @@ TEST(EventLoop, EventsCanScheduleEvents) {
     if (++depth < 5) loop.schedule_after(1.0, recurse);
   };
   loop.schedule_after(0.0, recurse);
-  loop.run();
+  ASSERT_TRUE(loop.run());
   EXPECT_EQ(depth, 5);
   EXPECT_DOUBLE_EQ(loop.now(), 4.0);
 }
@@ -74,7 +74,7 @@ TEST(EventLoop, EventsCanScheduleEvents) {
 TEST(EventLoop, RejectsPastAndNegative) {
   EventLoop loop;
   loop.schedule_at(2.0, [] {});
-  loop.run();
+  ASSERT_TRUE(loop.run());
   EXPECT_THROW(loop.schedule_at(1.0, [] {}), std::invalid_argument);
   EXPECT_THROW(loop.schedule_after(-0.1, [] {}), std::invalid_argument);
 }
@@ -293,7 +293,8 @@ TEST(EventLoop, PublishesOnEveryReturn) {
                         &hook_calls);
   thrower.schedule_at(1.0, [] {});
   thrower.schedule_at(2.0, [] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(thrower.run_until(5.0), std::runtime_error);
+  EXPECT_THROW(static_cast<void>(thrower.run_until(5.0)),
+               std::runtime_error);
   EXPECT_EQ(thrower.processed(), 2u);
   EXPECT_EQ(published(), 10u);  // one registry, two loops: the counts sum
   EXPECT_EQ(hook_calls, 4);

@@ -60,13 +60,12 @@ TEST(FaultDeterminism, PlannerThreadCountDoesNotPerturbTheWorld) {
   expect_identical(serial, pooled);
 }
 
-ScenarioConfig faulted_qos_config(ClientEngine engine) {
+ScenarioConfig faulted_qos_config() {
   // The closed QoS loop layered on top of the fault battery: replica crash,
   // lossy/duplicating control lane, delayed and failing provisioning.  The
   // phase trace is part of the determinism contract, so it must replay
   // bit-identically through all of it.
   auto cfg = faulted_config();
-  cfg.client_engine = engine;
   cfg.qos.enabled = true;
   cfg.qos.report_interval_s = 0.25;
   cfg.qos.overload_latency_s = 0.2;
@@ -92,21 +91,19 @@ void expect_same_phase_trace(Scenario& a, Scenario& b) {
 }
 
 TEST(FaultDeterminism, QosPhaseTraceReplaysBitIdenticallyUnderFaults) {
-  for (const auto engine : {ClientEngine::kPerObject, ClientEngine::kFlat}) {
-    const auto cfg = faulted_qos_config(engine);
-    Scenario a(cfg);
-    Scenario b(cfg);
-    ASSERT_TRUE(a.run_until(20.0));
-    ASSERT_TRUE(b.run_until(20.0));
-    EXPECT_GT(a.fault_stats().drops_ctrl + a.fault_stats().drops_data, 0u);
-    EXPECT_GT(a.coordinator()->stats().qos_reports, 0);
-    expect_identical(a, b);
-    expect_same_phase_trace(a, b);
-  }
+  const auto cfg = faulted_qos_config();
+  Scenario a(cfg);
+  Scenario b(cfg);
+  ASSERT_TRUE(a.run_until(20.0));
+  ASSERT_TRUE(b.run_until(20.0));
+  EXPECT_GT(a.fault_stats().drops_ctrl + a.fault_stats().drops_data, 0u);
+  EXPECT_GT(a.coordinator()->stats().qos_reports, 0);
+  expect_identical(a, b);
+  expect_same_phase_trace(a, b);
 }
 
 TEST(FaultDeterminism, QosShardThreadsDoNotPerturbFaultedPhaseTrace) {
-  auto cfg = faulted_qos_config(ClientEngine::kFlat);
+  auto cfg = faulted_qos_config();
   cfg.shard_threads = 1;
   Scenario serial(cfg);
   ASSERT_TRUE(serial.run_until(20.0));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cloudsim/scenario.h"
+#include "member_log.h"
 #include "util/random.h"
 
 namespace shuffledef::cloudsim {
@@ -27,12 +28,7 @@ ScenarioConfig random_config(util::Rng& rng) {
   cfg.replica.detect_window_s = 0.25;
   cfg.replica.junk_rate_threshold = 150.0;
   cfg.boot_delay_s = rng.uniform() * 0.5;
-  // Both client engines must uphold the same invariants under fuzz.
-  cfg.client_engine =
-      rng.bernoulli(0.5) ? ClientEngine::kFlat : ClientEngine::kPerObject;
-  if (cfg.client_engine == ClientEngine::kFlat) {
-    cfg.shard_threads = static_cast<std::int32_t>(rng.uniform_int(1, 4));
-  }
+  cfg.shard_threads = static_cast<std::int32_t>(rng.uniform_int(1, 4));
   // Half the worlds run the closed QoS loop on top of whatever else the
   // fuzzer picked: phase machine, remap cap, and Theorem-1 autoscaling all
   // get exercised against random shapes (and, below, injected faults).
@@ -75,7 +71,9 @@ TEST_P(FuzzScenario, RunsCleanAndDeterministic) {
   for (int trial = 0; trial < 4; ++trial) {
     const auto cfg = random_config(rng);
     Scenario a(cfg);
+    const MemberLog log(*a.swarm());
     ASSERT_TRUE(a.run_until(25.0)) << "event budget blown";
+    const ClientSwarm& swarm = *a.swarm();
 
     // Global invariants.
     EXPECT_LE(a.clients_connected(), cfg.clients);
@@ -91,14 +89,14 @@ TEST_P(FuzzScenario, RunsCleanAndDeterministic) {
       // browsing client can be mid page-reload at the cutoff, so check
       // completed page loads rather than the instantaneous phase.)
       EXPECT_EQ(cs.rounds_executed, 0);
-      for (const auto* c : a.clients()) {
-        EXPECT_GE(c->stats().page_loads.size(), 1u);
+      for (std::int32_t i = 0; i < swarm.benign_members(); ++i) {
+        EXPECT_GE(log.of(i, MemberEvent::Kind::kPageLoad).size(), 1u);
       }
     }
     // Every benign client that is connected sits on an attached replica.
-    for (const auto* c : a.clients()) {
-      if (c->connected()) {
-        EXPECT_TRUE(a.world().network().is_attached(c->current_replica()));
+    for (std::int32_t i = 0; i < swarm.benign_members(); ++i) {
+      if (swarm.connected(i)) {
+        EXPECT_TRUE(a.world().network().is_attached(swarm.current_replica(i)));
       }
     }
 
@@ -128,11 +126,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzScenario,
 class FuzzCrossEngine : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FuzzCrossEngine, EnginesAgreeOnPhaseCountUnderFaults) {
-  // The two engines are behaviourally equivalent but not trace-identical
-  // under attack (the flat engine quantizes timers), so the cross-engine
-  // contract is aggregate: with a decisive overload — sustained heavy load,
-  // thresholds far from the noise floor, one hysteresis-pinned switch —
-  // both must count the same phase transitions, faults and all.
+  // A decisive overload — sustained heavy load, thresholds far from the
+  // noise floor, one hysteresis-pinned switch — must enter overload exactly
+  // once at every seed, faults and all.
   ScenarioConfig cfg;
   cfg.seed = GetParam();
   cfg.initial_replicas = 2;
@@ -157,25 +153,14 @@ TEST_P(FuzzCrossEngine, EnginesAgreeOnPhaseCountUnderFaults) {
   cfg.faults.ctrl_dup_prob = 0.02;
   cfg.faults.data_loss_prob = 0.02;
 
-  cfg.client_engine = ClientEngine::kPerObject;
-  Scenario per_object(cfg);
-  ASSERT_TRUE(per_object.run_until(15.0));
-
-  cfg.client_engine = ClientEngine::kFlat;
-  Scenario flat(cfg);
-  ASSERT_TRUE(flat.run_until(15.0));
-
-  for (Scenario* s : {&per_object, &flat}) {
-    EXPECT_TRUE(s->world().network().stats().conserved());
-    EXPECT_GT(s->coordinator()->stats().qos_reports, 0);
-    EXPECT_EQ(s->coordinator()->stats().replicas_recycled,
-              s->provider().recycled());
-  }
-  EXPECT_EQ(per_object.coordinator()->stats().phase_switches, 1);
-  EXPECT_EQ(per_object.coordinator()->stats().phase_switches,
-            flat.coordinator()->stats().phase_switches);
-  EXPECT_EQ(per_object.coordinator()->qos_phase(),
-            flat.coordinator()->qos_phase());
+  Scenario s(cfg);
+  ASSERT_TRUE(s.run_until(15.0));
+  EXPECT_TRUE(s.world().network().stats().conserved());
+  EXPECT_GT(s.coordinator()->stats().qos_reports, 0);
+  EXPECT_EQ(s.coordinator()->stats().replicas_recycled,
+            s.provider().recycled());
+  EXPECT_EQ(s.coordinator()->stats().phase_switches, 1);
+  EXPECT_EQ(s.coordinator()->qos_phase(), QosPhase::kOverload);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzCrossEngine,

@@ -45,7 +45,7 @@ TEST(Network, DeliversWithPropagationDelay) {
   auto* b = world.spawn<SinkNode>(fast_nic(0.020), "b");
   world.network().send(
       {a->id(), b->id(), MessageType::kHttpGet, 100, HttpGetPayload{}});
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   ASSERT_EQ(b->arrivals.size(), 1u);
   // one-way = 0.010 + 0.020 + intra-domain extra (0.0005) + serialization.
   EXPECT_NEAR(b->arrivals[0].time, 0.0305, 0.001);
@@ -58,7 +58,7 @@ TEST(Network, InterDomainCostsMore) {
   auto* c = world.spawn<SinkNode>(fast_nic(0.01, 1), "c-other");
   world.network().send({a->id(), b->id(), MessageType::kHttpGet, 100, {}});
   world.network().send({a->id(), c->id(), MessageType::kHttpGet, 100, {}});
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   ASSERT_EQ(b->arrivals.size(), 1u);
   ASSERT_EQ(c->arrivals.size(), 1u);
   EXPECT_GT(c->arrivals[0].time, b->arrivals[0].time + 0.02);
@@ -73,7 +73,7 @@ TEST(Network, BandwidthSerializesLargeTransfers) {
   // 500 KB at 1 MB/s (on the 90% data lane) ~ 0.55s.
   world.network().send(
       {a->id(), b->id(), MessageType::kHttpResponse, 500'000, {}});
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   ASSERT_EQ(b->arrivals.size(), 1u);
   EXPECT_NEAR(b->arrivals[0].time, 0.5 / 0.9, 0.05);
 }
@@ -89,7 +89,7 @@ TEST(Network, BackToBackTransfersQueueFifo) {
     world.network().send(
         {a->id(), b->id(), MessageType::kHttpResponse, 100'000, {}});
   }
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   ASSERT_EQ(b->arrivals.size(), 3u);
   const double unit = b->arrivals[0].time;
   EXPECT_NEAR(b->arrivals[1].time, 2 * unit, 0.01);
@@ -107,7 +107,7 @@ TEST(Network, TailDropsWhenQueueExceedsLimit) {
     world.network().send(
         {a->id(), b->id(), MessageType::kHttpResponse, 100'000, {}});
   }
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   EXPECT_LT(b->arrivals.size(), 10u);
   EXPECT_GT(world.network().stats().dropped_egress, 40u);
 }
@@ -126,7 +126,7 @@ TEST(Network, PriorityLaneBypassesDataBacklog) {
   }
   world.network().send({a->id(), b->id(), MessageType::kWsPush, 128,
                         WsPushPayload{}});
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   // The WsPush must arrive before most of the bulk data.
   SimTime push_time = -1.0;
   std::size_t arrived_before_push = 0;
@@ -148,7 +148,7 @@ TEST(Network, DetachedReceiverDropsTraffic) {
   auto* b = world.spawn<SinkNode>(fast_nic(), "b");
   world.retire(b->id());
   world.network().send({a->id(), b->id(), MessageType::kHttpGet, 100, {}});
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   EXPECT_TRUE(b->arrivals.empty());
   EXPECT_EQ(world.network().stats().dropped_detached, 1u);
 }
@@ -159,7 +159,7 @@ TEST(Network, InFlightTrafficToRetiredNodeIsDropped) {
   auto* b = world.spawn<SinkNode>(fast_nic(0.05), "b");
   world.network().send({a->id(), b->id(), MessageType::kHttpGet, 100, {}});
   world.loop().schedule_at(0.01, [&] { world.retire(b->id()); });
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   EXPECT_TRUE(b->arrivals.empty());
 }
 
@@ -169,7 +169,7 @@ TEST(Network, StatsCountDeliveries) {
   auto* b = world.spawn<SinkNode>(fast_nic(), "b");
   world.network().send({a->id(), b->id(), MessageType::kHttpGet, 100, {}});
   world.network().send({b->id(), a->id(), MessageType::kHttpGet, 200, {}});
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   EXPECT_EQ(world.network().stats().delivered, 2u);
   EXPECT_EQ(world.network().stats().bytes_delivered, 300);
 }
@@ -216,7 +216,7 @@ TEST(Network, DetachedDropsAreCountedExactlyOnce) {
     world.retire(b->id());
     world.network().send({a->id(), b->id(), MessageType::kHttpGet, 100, {}});
   });
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   const auto& stats = world.network().stats();
   EXPECT_EQ(stats.sends, 4u);
   EXPECT_EQ(stats.dropped_detached, 4u);
@@ -238,7 +238,7 @@ TEST(NetworkFaults, InjectedLossHitsOnlyTheConfiguredLane) {
     world.network().send(
         {a->id(), b->id(), MessageType::kWsPush, 128, WsPushPayload{}});
   }
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   ASSERT_EQ(b->arrivals.size(), 5u);
   for (const auto& ar : b->arrivals) {
     EXPECT_EQ(ar.type, MessageType::kWsPush);
@@ -260,7 +260,7 @@ TEST(NetworkFaults, DuplicationDeliversAnExtraCopy) {
   auto* b = world.spawn<SinkNode>(fast_nic(), "b");
   world.network().send(
       {a->id(), b->id(), MessageType::kWsPush, 128, WsPushPayload{}});
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   EXPECT_EQ(b->arrivals.size(), 2u);  // original + injected copy
   const auto& stats = world.network().stats();
   EXPECT_EQ(stats.sends, 1u);
@@ -281,7 +281,7 @@ TEST(NetworkFaults, LinkFlapWindowDropsThenRecovers) {
   world.loop().schedule_at(2.0, [&] {
     world.network().send({a->id(), b->id(), MessageType::kHttpGet, 100, {}});
   });
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   EXPECT_EQ(b->arrivals.size(), 1u);  // only the post-flap send
   EXPECT_EQ(injector.stats().drops_flap, 1u);
   EXPECT_TRUE(world.network().stats().conserved());
@@ -299,7 +299,7 @@ TEST(NetworkFaults, NodeScopedFlapSparesOtherTraffic) {
   world.network().set_fault_injector(&injector);
   world.network().send({a->id(), b->id(), MessageType::kHttpGet, 100, {}});
   world.network().send({a->id(), c->id(), MessageType::kHttpGet, 100, {}});
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   EXPECT_TRUE(b->arrivals.empty());
   EXPECT_EQ(c->arrivals.size(), 1u);
   EXPECT_EQ(injector.stats().drops_flap, 1u);
@@ -349,7 +349,7 @@ TEST(NetworkProperty, ConservationHoldsUnderFuzzedTrafficAndFaults) {
       world.loop().schedule_at(
           t, [&] { EXPECT_TRUE(world.network().stats().conserved()); });
     }
-    world.loop().run();
+    ASSERT_TRUE(world.loop().run());
 
     const auto& stats = world.network().stats();
     EXPECT_TRUE(stats.conserved()) << "seed " << seed;
@@ -483,7 +483,7 @@ TEST(NetworkProperty, WalkerMatchesEagerOpenLoopModel) {
       sends.push_back(s);
     }
     schedule_sends(world, nodes, sends);
-    world.loop().run();
+    ASSERT_TRUE(world.loop().run());
 
     const EagerOutcome model = eager_model(nics, sends);
     const auto& stats = world.network().stats();
@@ -538,7 +538,7 @@ TEST(NetworkProperty, SameInstantArrivalsSealInSendOrder) {
     }
   }
   schedule_sends(world, nodes, sends);
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
 
   const EagerOutcome model = eager_model(nics, sends);
   const auto& stats = world.network().stats();
@@ -572,7 +572,7 @@ TEST(NetworkFaults, TraceRecordsEveryResolution) {
   world.network().send({a->id(), b->id(), MessageType::kHttpGet, 100, {}});
   world.network().send(
       {a->id(), b->id(), MessageType::kWsPush, 128, WsPushPayload{}});
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   const auto& trace = world.network().trace();
   ASSERT_EQ(trace.size(), 2u);
   EXPECT_EQ(trace[0].outcome, NetTraceEvent::Outcome::kDroppedFaulted);

@@ -10,8 +10,7 @@
 //      detection disabled, honours the concurrent-remap cap, and
 //      autoscales the replica pool up and back down;
 //   3. the whole loop is deterministic: phase-transition traces are
-//      bit-identical across replays, shard_threads settings, and both
-//      client engines.
+//      bit-identical across replays and shard_threads settings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -301,41 +300,33 @@ void expect_same_phase_trace(Scenario& a, Scenario& b) {
 }
 
 TEST(QosDeterminism, PhaseTraceReplaysBitIdentically) {
-  for (const auto engine : {ClientEngine::kPerObject, ClientEngine::kFlat}) {
-    SCOPED_TRACE(engine == ClientEngine::kFlat ? "flat" : "per-object");
-    auto cfg = closed_loop_world(51);
-    cfg.client_engine = engine;
-    cfg.record_net_trace = true;
-    Scenario a(cfg);
-    Scenario b(cfg);
-    ASSERT_TRUE(a.run_until(25.0));
-    ASSERT_TRUE(b.run_until(25.0));
-    ASSERT_FALSE(a.coordinator()->phase_transitions().empty());
-    expect_same_phase_trace(a, b);
-    EXPECT_EQ(a.world().network().trace(), b.world().network().trace());
-  }
+  auto cfg = closed_loop_world(51);
+  cfg.record_net_trace = true;
+  Scenario a(cfg);
+  Scenario b(cfg);
+  ASSERT_TRUE(a.run_until(25.0));
+  ASSERT_TRUE(b.run_until(25.0));
+  ASSERT_FALSE(a.coordinator()->phase_transitions().empty());
+  expect_same_phase_trace(a, b);
+  EXPECT_EQ(a.world().network().trace(), b.world().network().trace());
 }
 
 TEST(QosDeterminism, ShardThreadsDoNotPerturbThePhaseTrace) {
-  for (const auto engine : {ClientEngine::kPerObject, ClientEngine::kFlat}) {
-    SCOPED_TRACE(engine == ClientEngine::kFlat ? "flat" : "per-object");
-    auto cfg = closed_loop_world(52);
-    cfg.client_engine = engine;
-    cfg.record_net_trace = true;
+  auto cfg = closed_loop_world(52);
+  cfg.record_net_trace = true;
 
-    cfg.shard_threads = 1;
-    Scenario serial(cfg);
-    ASSERT_TRUE(serial.run_until(25.0));
+  cfg.shard_threads = 1;
+  Scenario serial(cfg);
+  ASSERT_TRUE(serial.run_until(25.0));
 
-    cfg.shard_threads = 4;
-    Scenario sharded(cfg);
-    ASSERT_TRUE(sharded.run_until(25.0));
+  cfg.shard_threads = 4;
+  Scenario sharded(cfg);
+  ASSERT_TRUE(sharded.run_until(25.0));
 
-    ASSERT_FALSE(serial.coordinator()->phase_transitions().empty());
-    expect_same_phase_trace(serial, sharded);
-    EXPECT_EQ(serial.world().network().trace(),
-              sharded.world().network().trace());
-  }
+  ASSERT_FALSE(serial.coordinator()->phase_transitions().empty());
+  expect_same_phase_trace(serial, sharded);
+  EXPECT_EQ(serial.world().network().trace(),
+            sharded.world().network().trace());
 }
 
 TEST(QosDeterminism, DifferentSeedsDiverge) {

@@ -2,14 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "cloudsim/client_agent.h"
+#include "cloudsim/client_swarm.h"
 #include "cloudsim/dns_server.h"
 #include "cloudsim/load_balancer.h"
 #include "cloudsim/node.h"
 #include "cloudsim/replica_server.h"
+#include "member_log.h"
 #include "util/random.h"
 
 namespace shuffledef::cloudsim {
@@ -30,13 +32,17 @@ struct Stack {
     lb->add_replica(r1->id());
     lb->add_replica(r2->id());
   }
-  ClientAgent* add_client(const std::string& ip, double start = 0.0) {
-    ClientConfig cc;
-    cc.service = "svc";
-    cc.ip = ip;
-    cc.dns = dns->id();
-    cc.start_time_s = start;
-    return world.spawn<ClientAgent>(nic(0.02), "client-" + ip, cc);
+  /// One client joining `start` seconds from now: a one-member swarm.
+  ClientSwarm* add_client(double start = 0.0, std::string service = "svc",
+                          double request_timeout_s = 4.0) {
+    SwarmConfig sc;
+    sc.service = std::move(service);
+    sc.dns = dns->id();
+    sc.request_timeout_s = request_timeout_s;
+    auto* swarm = world.spawn<ClientSwarm>(nic(), "client", std::move(sc));
+    swarm->add_client(nic(0.02), start);
+    swarm->finalize();
+    return swarm;
   }
   World world;
   DnsServer* dns;
@@ -45,37 +51,62 @@ struct Stack {
   ReplicaServer* r2;
 };
 
+/// A host that takes over `ip` and says hello to the balancer directly,
+/// recording the replica it is redirected to.
+class Returner final : public Node {
+ public:
+  Returner(World& world, std::string name, NodeId lb, IpId ip)
+      : Node(world, std::move(name)), lb_(lb), ip_(ip) {}
+  void on_start() override {
+    world().register_ip(ip_, id());
+    send(lb_, MessageType::kClientHello, kHttpRequestBytes,
+         ClientHelloPayload{ip_});
+  }
+  void on_message(const Message& msg) override {
+    if (msg.type == MessageType::kRedirect) {
+      redirected_to = payload_as<RedirectPayload>(msg).target_replica;
+    }
+  }
+  NodeId redirected_to = kInvalidNode;
+
+ private:
+  NodeId lb_;
+  IpId ip_;
+};
+
 TEST(ServiceStack, FullJoinFlowConnectsClient) {
   Stack s;
-  auto* c = s.add_client("1.1.1.1");
-  s.world.loop().run_until(5.0);
-  EXPECT_TRUE(c->connected());
-  EXPECT_NE(c->current_replica(), kInvalidNode);
-  EXPECT_EQ(c->stats().page_loads.size(), 1u);
+  auto* c = s.add_client();
+  MemberLog log(*c);
+  ASSERT_TRUE(s.world.loop().run_until(5.0));
+  EXPECT_TRUE(c->connected(0));
+  EXPECT_NE(c->current_replica(0), kInvalidNode);
+  EXPECT_EQ(log.of(0, MemberEvent::Kind::kPageLoad).size(), 1u);
   EXPECT_GT(c->stats().first_page_at, 0.0);
   EXPECT_EQ(s.dns->queries_served(), 1u);
 }
 
 TEST(ServiceStack, RoundRobinSpreadsClients) {
   Stack s;
-  auto* c1 = s.add_client("1.1.1.1", 0.0);
-  auto* c2 = s.add_client("2.2.2.2", 0.1);
-  s.world.loop().run_until(5.0);
-  ASSERT_TRUE(c1->connected());
-  ASSERT_TRUE(c2->connected());
-  EXPECT_NE(c1->current_replica(), c2->current_replica());
+  auto* c1 = s.add_client(0.0);
+  auto* c2 = s.add_client(0.1);
+  ASSERT_TRUE(s.world.loop().run_until(5.0));
+  ASSERT_TRUE(c1->connected(0));
+  ASSERT_TRUE(c2->connected(0));
+  EXPECT_NE(c1->current_replica(0), c2->current_replica(0));
   EXPECT_EQ(s.lb->stats().assignments, 2u);
 }
 
 TEST(ServiceStack, StickySessionsPinReturningIps) {
   Stack s;
-  auto* c1 = s.add_client("1.1.1.1", 0.0);
-  s.world.loop().run_until(5.0);
-  const NodeId home = c1->current_replica();
+  auto* c1 = s.add_client(0.0);
+  ASSERT_TRUE(s.world.loop().run_until(5.0));
+  const NodeId home = c1->current_replica(0);
   // The same IP joining again (e.g. after a browser restart) goes home.
-  auto* again = s.add_client("1.1.1.1", 0.0);
-  s.world.loop().run_until(10.0);
-  EXPECT_EQ(again->current_replica(), home);
+  auto* again = s.world.spawn<Returner>(nic(0.02), "again", s.lb->id(),
+                                        c1->member_ip(0));
+  ASSERT_TRUE(s.world.loop().run_until(10.0));
+  EXPECT_EQ(again->redirected_to, home);
   EXPECT_GE(s.lb->stats().sticky_hits, 1u);
 }
 
@@ -97,7 +128,7 @@ TEST(ServiceStack, NonWhitelistedRequestsAreDropped) {
   auto* prober = s.world.spawn<Prober>(nic(), "prober");
   prober->target = s.r1->id();
   prober->on_start();
-  s.world.loop().run_until(5.0);
+  ASSERT_TRUE(s.world.loop().run_until(5.0));
   EXPECT_EQ(prober->responses, 0);
   EXPECT_GE(s.r1->stats().rejected_not_whitelisted, 1u);
 }
@@ -152,49 +183,51 @@ TEST(ServiceStack, WhitelistTableMatchesAMapOracle) {
 TEST(ServiceStack, LoadBalancerSkipsRecycledReplicas) {
   Stack s;
   s.world.retire(s.r1->id());
-  auto* c = s.add_client("3.3.3.3");
-  s.world.loop().run_until(5.0);
-  ASSERT_TRUE(c->connected());
-  EXPECT_EQ(c->current_replica(), s.r2->id());
+  auto* c = s.add_client();
+  ASSERT_TRUE(s.world.loop().run_until(5.0));
+  ASSERT_TRUE(c->connected(0));
+  EXPECT_EQ(c->current_replica(0), s.r2->id());
 }
 
 TEST(ServiceStack, NoReplicasMeansRejection) {
   Stack s;
   s.lb->remove_replica(s.r1->id());
   s.lb->remove_replica(s.r2->id());
-  auto* c = s.add_client("4.4.4.4");
-  s.world.loop().run_until(3.0);
-  EXPECT_FALSE(c->connected());
+  auto* c = s.add_client();
+  ASSERT_TRUE(s.world.loop().run_until(3.0));
+  EXPECT_FALSE(c->connected(0));
   EXPECT_GE(s.lb->stats().rejected_no_replica, 1u);
 }
 
 TEST(ServiceStack, ShuffleCommandMigratesClientViaWsPush) {
   Stack s;
   s.lb->remove_replica(s.r2->id());  // force everyone onto r1
-  auto* c = s.add_client("5.5.5.5");
-  s.world.loop().run_until(5.0);
-  ASSERT_TRUE(c->connected());
-  ASSERT_EQ(c->current_replica(), s.r1->id());
+  auto* c = s.add_client();
+  MemberLog log(*c);
+  ASSERT_TRUE(s.world.loop().run_until(5.0));
+  ASSERT_TRUE(c->connected(0));
+  ASSERT_EQ(c->current_replica(0), s.r1->id());
 
   // Coordinator-style command: move the client to r2.
   s.world.loop().schedule_at(6.0, [&] {
     // Whitelist on the target first, as the coordinator does.
     Message wl{s.lb->id(), s.r2->id(), MessageType::kWhitelistAdd,
                kControlMessageBytes,
-               WhitelistAddPayload{s.world.intern_ip("5.5.5.5"), c->id()}};
+               WhitelistAddPayload{c->member_ip(0), c->member_port(0)}};
     s.world.network().send(std::move(wl));
     ShuffleCommandPayload cmd;
-    cmd.client_to_replica.emplace_back(c->id(), s.r2->id());
+    cmd.client_to_replica.emplace_back(c->member_port(0), s.r2->id());
     Message m{s.lb->id(), s.r1->id(), MessageType::kShuffleCommand,
               kControlMessageBytes, cmd};
     s.world.network().send(std::move(m));
   });
-  s.world.loop().run_until(15.0);
-  EXPECT_EQ(c->current_replica(), s.r2->id());
-  EXPECT_TRUE(c->connected());
-  ASSERT_EQ(c->stats().migrations.size(), 1u);
-  EXPECT_GT(c->stats().migrations[0].duration(), 0.0);
-  EXPECT_LT(c->stats().migrations[0].duration(), 5.0);
+  ASSERT_TRUE(s.world.loop().run_until(15.0));
+  EXPECT_EQ(c->current_replica(0), s.r2->id());
+  EXPECT_TRUE(c->connected(0));
+  const auto migrations = log.of(0, MemberEvent::Kind::kMigration);
+  ASSERT_EQ(migrations.size(), 1u);
+  EXPECT_GT(migrations[0].duration(), 0.0);
+  EXPECT_LT(migrations[0].duration(), 5.0);
   EXPECT_TRUE(s.r1->decommissioned());
   EXPECT_EQ(s.r1->stats().redirects_pushed, 1u);
 }
@@ -202,31 +235,25 @@ TEST(ServiceStack, ShuffleCommandMigratesClientViaWsPush) {
 TEST(ServiceStack, ComputationalAttackRaisesCpuBacklog) {
   Stack s;
   s.lb->remove_replica(s.r2->id());
-  auto* c = s.add_client("7.7.7.7");
-  s.world.loop().run_until(5.0);
-  ASSERT_TRUE(c->connected());
+  auto* c = s.add_client();
+  ASSERT_TRUE(s.world.loop().run_until(5.0));
+  ASSERT_TRUE(c->connected(0));
   // Whitelisted heavy requests burn server CPU.
   for (int i = 0; i < 10; ++i) {
-    Message m{c->id(), s.r1->id(), MessageType::kHeavyRequest,
-              kHttpRequestBytes,
-              HeavyRequestPayload{s.world.intern_ip("7.7.7.7"), 0.3}};
+    Message m{c->member_port(0), s.r1->id(), MessageType::kHeavyRequest,
+              kHttpRequestBytes, HeavyRequestPayload{c->member_ip(0), 0.3}};
     s.world.network().send(std::move(m));
   }
-  s.world.loop().run_until(5.5);
+  ASSERT_TRUE(s.world.loop().run_until(5.5));
   EXPECT_GT(s.r1->cpu_backlog_s(), 0.5);
   EXPECT_GT(s.r1->stats().shed_cpu_overload, 0u);  // queue limit kicked in
 }
 
 TEST(ServiceStack, DnsUnknownServiceTimesOutClient) {
   Stack s;
-  ClientConfig cc;
-  cc.service = "unknown-svc";
-  cc.ip = "8.8.8.8";
-  cc.dns = s.dns->id();
-  cc.request_timeout_s = 0.5;
-  auto* c = s.world.spawn<ClientAgent>(nic(), "lost-client", cc);
-  s.world.loop().run_until(4.0);
-  EXPECT_FALSE(c->connected());
+  auto* c = s.add_client(0.0, "unknown-svc", 0.5);
+  ASSERT_TRUE(s.world.loop().run_until(4.0));
+  EXPECT_FALSE(c->connected(0));
   EXPECT_GT(c->stats().timeouts, 0);
 }
 

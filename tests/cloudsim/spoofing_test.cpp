@@ -1,7 +1,7 @@
 // IP spoofing and reconnaissance resistance (paper §VII).
 #include <gtest/gtest.h>
 
-#include "cloudsim/client_agent.h"
+#include "cloudsim/client_swarm.h"
 #include "cloudsim/dns_server.h"
 #include "cloudsim/load_balancer.h"
 #include "cloudsim/node.h"
@@ -19,12 +19,12 @@ NicConfig nic(double latency = 0.005) {
 /// nonexistent) IP, hoping to learn a replica address.
 class SpoofingBot final : public Node {
  public:
-  SpoofingBot(World& world, std::string name, NodeId lb, std::string claimed)
-      : Node(world, std::move(name)), lb_(lb), claimed_(std::move(claimed)) {}
+  SpoofingBot(World& world, std::string name, NodeId lb, IpId claimed)
+      : Node(world, std::move(name)), lb_(lb), claimed_(claimed) {}
 
   void on_start() override {
     send(lb_, MessageType::kClientHello, kHttpRequestBytes,
-         ClientHelloPayload{world().intern_ip(claimed_)});
+         ClientHelloPayload{claimed_});
   }
   void on_message(const Message& msg) override {
     if (msg.type == MessageType::kRedirect) {
@@ -36,7 +36,7 @@ class SpoofingBot final : public Node {
 
  private:
   NodeId lb_;
-  std::string claimed_;
+  IpId claimed_;
   NodeId learned_replica_ = kInvalidNode;
 };
 
@@ -48,6 +48,16 @@ struct Rig {
     dns->register_load_balancer("svc", lb->id());
     lb->add_replica(replica->id());
   }
+  /// One legitimate client joining now: a one-member swarm.
+  ClientSwarm* add_client() {
+    SwarmConfig sc;
+    sc.service = "svc";
+    sc.dns = dns->id();
+    auto* swarm = world.spawn<ClientSwarm>(nic(), "client", std::move(sc));
+    swarm->add_client(nic(0.02), 0.0);
+    swarm->finalize();
+    return swarm;
+  }
   World world;
   DnsServer* dns;
   LoadBalancer* lb;
@@ -56,9 +66,9 @@ struct Rig {
 
 TEST(Spoofing, UnroutableClaimedIpIsDroppedAtTheBalancer) {
   Rig rig;
-  auto* bot = rig.world.spawn<SpoofingBot>(nic(), "spoofer", rig.lb->id(),
-                                           "203.0.113.99");
-  rig.world.loop().run_until(3.0);
+  auto* bot = rig.world.spawn<SpoofingBot>(
+      nic(), "spoofer", rig.lb->id(), rig.world.intern_ip("203.0.113.99"));
+  ASSERT_TRUE(rig.world.loop().run_until(3.0));
   EXPECT_EQ(bot->learned_replica(), kInvalidNode);
   EXPECT_GE(rig.lb->stats().rejected_spoofed, 1u);
   EXPECT_EQ(rig.lb->stats().assignments, 0u);
@@ -66,39 +76,31 @@ TEST(Spoofing, UnroutableClaimedIpIsDroppedAtTheBalancer) {
 
 TEST(Spoofing, StolenIpSendsTheRedirectToItsRealOwner) {
   Rig rig;
-  // A legitimate client owns 1.2.3.4 …
-  ClientConfig cc;
-  cc.service = "svc";
-  cc.ip = "1.2.3.4";
-  cc.dns = rig.dns->id();
-  auto* victim = rig.world.spawn<ClientAgent>(nic(0.02), "victim", cc);
-  rig.world.loop().run_until(3.0);
-  ASSERT_TRUE(victim->connected());
+  // A legitimate client owns its IP …
+  auto* victim = rig.add_client();
+  ASSERT_TRUE(rig.world.loop().run_until(3.0));
+  ASSERT_TRUE(victim->connected(0));
 
   // … and a bot claims it.  The redirect is routed to the victim, so the
   // bot learns nothing and the victim's session is undisturbed.
   auto* bot = rig.world.spawn<SpoofingBot>(nic(), "spoofer", rig.lb->id(),
-                                           "1.2.3.4");
-  rig.world.loop().run_until(6.0);
+                                           victim->member_ip(0));
+  ASSERT_TRUE(rig.world.loop().run_until(6.0));
   EXPECT_EQ(bot->learned_replica(), kInvalidNode);
-  EXPECT_TRUE(victim->connected());
-  EXPECT_EQ(victim->current_replica(), rig.replica->id());
+  EXPECT_TRUE(victim->connected(0));
+  EXPECT_EQ(victim->current_replica(0), rig.replica->id());
 }
 
 TEST(Spoofing, WhitelistKeysToTheIpOwnerNode) {
   Rig rig;
-  ClientConfig cc;
-  cc.service = "svc";
-  cc.ip = "9.9.9.9";
-  cc.dns = rig.dns->id();
-  auto* client = rig.world.spawn<ClientAgent>(nic(0.02), "client", cc);
-  rig.world.loop().run_until(3.0);
-  ASSERT_TRUE(client->connected());
+  auto* client = rig.add_client();
+  ASSERT_TRUE(rig.world.loop().run_until(3.0));
+  ASSERT_TRUE(client->connected(0));
   const auto clients = rig.replica->connected_clients();
   ASSERT_EQ(clients.size(), 1u);
-  EXPECT_EQ(clients[0].first, rig.world.intern_ip("9.9.9.9"));
-  EXPECT_EQ(rig.world.interned_name(clients[0].first), "9.9.9.9");
-  EXPECT_EQ(clients[0].second, client->id());
+  EXPECT_EQ(clients[0].first, client->member_ip(0));
+  EXPECT_EQ(rig.world.ip_owner(clients[0].first), client->member_port(0));
+  EXPECT_EQ(clients[0].second, client->member_port(0));
 }
 
 TEST(Spoofing, ReconnaissanceProbeGetsNoService) {
@@ -118,7 +120,7 @@ TEST(Spoofing, ReconnaissanceProbeGetsNoService) {
   Message m{prober->id(), rig.replica->id(), MessageType::kHttpGet,
             kHttpRequestBytes, HttpGetPayload{rig.world.intern_ip("8.8.4.4")}};
   rig.world.network().send(std::move(m));
-  rig.world.loop().run_until(3.0);
+  ASSERT_TRUE(rig.world.loop().run_until(3.0));
   EXPECT_EQ(prober->responses, 0);
   EXPECT_GE(rig.replica->stats().rejected_not_whitelisted, 1u);
 }

@@ -1,19 +1,19 @@
-// Flat-engine equivalence and recorded delivery digests.
+// Recorded delivery digests of ClientSwarm worlds, and the swarm's observer.
 //
-// The ClientSwarm (SoA columns, batched timers) is a performance engine,
-// not a new model: a quiet world must produce exactly the same aggregate
-// outcomes as the per-object ClientAgent engine.  Every run delivers
-// through the network's per-lane walkers; the digests below were recorded
-// from the delivery paths those walkers replaced, so they pin every
-// delivery to its instant and size.
+// Every run delivers through the network's per-lane walkers; the digests
+// below pin every delivery to its instant and size, so any change to the
+// swarm's join, timeout, heartbeat or flood timing shows up here.  The
+// observer only reads: installing one must leave those bits alone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 #include <tuple>
 
 #include "cloudsim/scenario.h"
 #include "faulted_world.h"
+#include "member_log.h"
 
 namespace shuffledef::cloudsim {
 namespace {
@@ -85,75 +85,24 @@ std::uint64_t delivered_digest(const std::vector<NetTraceEvent>& trace) {
   return h;
 }
 
-TEST(SwarmEquivalence, QuietWorldMatchesPerObjectAggregates) {
-  auto cfg = quiet_world();
-
-  cfg.client_engine = ClientEngine::kPerObject;
-  Scenario ref(cfg);
-  ASSERT_TRUE(ref.run_until(10.0));
-
-  cfg.client_engine = ClientEngine::kFlat;
-  Scenario flat(cfg);
-  ASSERT_TRUE(flat.run_until(10.0));
-
-  // Everyone joins under both engines, with the same page count (browse
-  // think time 0 = exactly one page per member).
-  EXPECT_EQ(ref.clients_connected(), 12);
-  EXPECT_EQ(flat.clients_connected(), 12);
-  std::int64_t ref_pages = 0;
-  for (const auto* c : ref.clients()) {
-    ref_pages += static_cast<std::int64_t>(c->stats().page_loads.size());
-  }
-  ASSERT_NE(flat.swarm(), nullptr);
-  EXPECT_EQ(flat.swarm()->stats().page_loads, ref_pages);
-  EXPECT_EQ(flat.swarm()->stats().timeouts, 0);
-  EXPECT_EQ(flat.swarm()->stats().rejoins, 0);
-  EXPECT_TRUE(ref.world().network().stats().conserved());
-  EXPECT_TRUE(flat.world().network().stats().conserved());
-}
-
-TEST(SwarmEquivalence, FlatEngineDefendsLikeThePerObjectEngine) {
-  // Under attack the engines' message interleavings differ (quantized
-  // timers, batched whitelists), so the comparison is behavioural: the
-  // defense detects, shuffles, isolates, and keeps everyone served.
-  auto cfg = attacked_world();
-
-  cfg.client_engine = ClientEngine::kPerObject;
-  Scenario ref(cfg);
-  ASSERT_TRUE(ref.run_until(60.0));
-
-  cfg.client_engine = ClientEngine::kFlat;
-  Scenario flat(cfg);
-  ASSERT_TRUE(flat.run_until(60.0));
-
-  for (Scenario* s : {&ref, &flat}) {
-    EXPECT_GT(s->coordinator()->stats().attack_reports, 0);
-    EXPECT_GT(s->coordinator()->stats().rounds_executed, 0);
-    EXPECT_LE(s->replicas_hosting_bots(), 2);
-    EXPECT_GE(s->benign_clients_isolated_from_bots(), 15);
-    EXPECT_GE(s->clients_connected(), 18);
-    EXPECT_TRUE(s->world().network().stats().conserved());
-  }
-  // The flat engine's aggregate stats actually moved.
-  const auto& st = flat.swarm()->stats();
-  EXPECT_GT(st.page_loads, 0);
-  EXPECT_GT(st.migrations_completed, 0);
-  EXPECT_GT(st.junk_sent, 0);
-}
-
-// The constants in the four tests below were recorded before the lane
-// walkers became the only delivery path: the per-object worlds from the
-// per-message closure engine, the flat world (which never ran on it) from
-// the one-closure-per-hop pooled path.  The walkers reproduced every value
-// there.  Drop fates are sealed lazily, so only deliveries are pinned: a
-// tail arrival may still be in flight at the horizon where an eager engine
-// already counted its drop.
+// The first constant set below was recorded from the one-closure-per-hop
+// pooled delivery path, before the lane walkers replaced it; the lane
+// walkers reproduced it.  The other three were recorded on the swarm when
+// it became the only client engine.  Drop fates are sealed lazily, so only
+// deliveries are pinned: a tail arrival may still be in flight at the
+// horizon where an eager engine already counted its drop.  `observe`
+// installs a MemberLog first.
 void expect_recorded_deliveries(ScenarioConfig cfg, double horizon_s,
                                 std::uint64_t delivered, std::int64_t bytes,
-                                std::uint64_t digest) {
+                                std::uint64_t digest, bool observe = false) {
   cfg.record_net_trace = true;
   Scenario s(cfg);
+  std::optional<MemberLog> log;
+  if (observe) log.emplace(*s.swarm());
   ASSERT_TRUE(s.run_until(horizon_s));
+  if (observe) {
+    EXPECT_FALSE(log->events().empty());
+  }
   const auto& net = s.world().network();
   EXPECT_EQ(net.stats().delivered, delivered);
   EXPECT_EQ(net.stats().bytes_delivered, bytes);
@@ -163,35 +112,81 @@ void expect_recorded_deliveries(ScenarioConfig cfg, double horizon_s,
 }
 
 TEST(SwarmEquivalence, BatchDeliveryIsTraceInvisible) {
-  // Flat engine: shuffle pushes, whitelist batches and page traffic under a
-  // junk flood land where one scheduled closure per arrival put them.
-  auto cfg = attacked_world(23);
-  cfg.client_engine = ClientEngine::kFlat;
-  expect_recorded_deliveries(cfg, 30.0, 15068, 37524672,
+  // Shuffle pushes, whitelist batches and page traffic under a junk flood
+  // land where one scheduled closure per arrival put them.
+  expect_recorded_deliveries(attacked_world(23), 30.0, 15068, 37524672,
                              0xBBE67EA2D4025B9BULL);
 }
 
 TEST(SwarmEquivalence, PooledArenaIsTraceInvisible) {
-  // Per-object engine: messages parked in the pooled slot arena deliver
-  // where the legacy engine's per-message heap closures delivered them.
-  expect_recorded_deliveries(attacked_world(24), 30.0, 13502, 37357304,
-                             0x7C493E58012E3646ULL);
+  // Messages parked in the pooled slot arena deliver where they did when
+  // the digest was recorded.
+  expect_recorded_deliveries(attacked_world(24), 30.0, 14375, 36567568,
+                             0xD91156B1F3AB3C12ULL);
 }
 
 TEST(SwarmEquivalence, LaneWalkersDeliverLikeTheLegacyEngine) {
-  expect_recorded_deliveries(attacked_world(26), 30.0, 13837, 37819472,
-                             0xB220A2821522028BULL);
+  expect_recorded_deliveries(attacked_world(26), 30.0, 15384, 37981568,
+                             0x2E146A38947FB352ULL);
 }
 
 TEST(SwarmEquivalence, FaultedWorldDeliversLikeTheLegacyEngine) {
   // Lossy and duplicating lanes, failing provisioning and a replica crash.
-  expect_recorded_deliveries(faulted_config(), 20.0, 7266, 16569320,
-                             0x0B3D92EC38009C55ULL);
+  expect_recorded_deliveries(faulted_config(), 20.0, 3455, 10631056,
+                             0x6886163F131F7B55ULL);
+}
+
+TEST(SwarmObserver, LeavesTheFaultedWorldDigestBitIdentical) {
+  expect_recorded_deliveries(faulted_config(), 20.0, 3455, 10631056,
+                             0x6886163F131F7B55ULL, /*observe=*/true);
+}
+
+TEST(SwarmObserver, OneMemberEventsMatchSwarmStats) {
+  // One browsing client, lossy lanes (timeouts) and a proactive shuffle
+  // every 2 s (migrations): every event the observer sees is one the
+  // aggregate counters count, and vice versa.
+  ScenarioConfig cfg = quiet_world(27);
+  cfg.clients = 1;
+  cfg.client_browse_think_s = 0.5;
+  cfg.client_request_timeout_s = 0.5;
+  cfg.coordinator.fixed_cadence_s = 2.0;
+  cfg.faults.data_loss_prob = 0.2;
+  Scenario s(cfg);
+  const MemberLog log(*s.swarm());
+  ASSERT_TRUE(s.run_until(30.0));
+
+  const SwarmStats& st = s.swarm()->stats();
+  const auto loads = log.of(0, MemberEvent::Kind::kPageLoad);
+  const auto timeouts = log.of(0, MemberEvent::Kind::kTimeout);
+  const auto migrations = log.of(0, MemberEvent::Kind::kMigration);
+  EXPECT_EQ(log.events().size(),
+            loads.size() + timeouts.size() + migrations.size());
+  ASSERT_GT(loads.size(), 0u);
+  ASSERT_GT(timeouts.size(), 0u);
+  ASSERT_GT(migrations.size(), 0u);
+  EXPECT_EQ(static_cast<std::int64_t>(loads.size()), st.page_loads);
+  EXPECT_EQ(static_cast<std::int64_t>(timeouts.size()), st.timeouts);
+  EXPECT_EQ(static_cast<std::int64_t>(migrations.size()),
+            st.migrations_completed);
+  // Same additions in the same order: the sums match bit for bit.
+  double load_sum = 0.0;
+  for (const auto& e : loads) load_sum += e.duration();
+  double migration_sum = 0.0;
+  for (const auto& e : migrations) migration_sum += e.duration();
+  EXPECT_EQ(load_sum, st.page_load_seconds_sum);
+  EXPECT_EQ(migration_sum, st.migration_seconds_sum);
+  EXPECT_EQ(loads.front().end_s, st.first_page_at);
+  for (const auto& e : timeouts) {
+    // A timed-out request was sent one timeout earlier, give or take the
+    // sweep quantum that noticed it.
+    EXPECT_GE(e.duration(), cfg.client_request_timeout_s - 1e-9);
+    EXPECT_LE(e.duration(),
+              cfg.client_request_timeout_s + cfg.swarm_sweep_dt_s + 1e-9);
+  }
 }
 
 TEST(SwarmEquivalence, FlatEngineReplaysBitIdenticallyUnderFaults) {
   auto cfg = attacked_world(25);
-  cfg.client_engine = ClientEngine::kFlat;
   cfg.record_net_trace = true;
   cfg.faults.data_loss_prob = 0.02;
   cfg.faults.ctrl_loss_prob = 0.05;

@@ -1,5 +1,5 @@
-// Flat-engine scale battery: bit-identical sharded sweeps and conservation
-// at populations the per-object engine was never asked to carry.
+// Swarm scale battery: bit-identical sharded sweeps and conservation at
+// 10^5 members.
 //
 // The ClientSwarm's sweep scan, its batched strategy rounds, and the
 // replicas' shuffle-push fan-out build all shard across
@@ -16,12 +16,11 @@
 namespace shuffledef::cloudsim {
 namespace {
 
-/// A fault-injected flat world sized for `clients` members.  NICs are fat
+/// A fault-injected world sized for `clients` members.  NICs are fat
 /// and pages small so the population — not the pipes — is the load.
 ScenarioConfig scale_world(std::int32_t clients, std::uint64_t seed = 31) {
   ScenarioConfig cfg;
   cfg.seed = seed;
-  cfg.client_engine = ClientEngine::kFlat;
   cfg.domains = 2;
   cfg.initial_replicas = std::max<std::int32_t>(2, clients / 2500);
   cfg.hot_spares = 1;

@@ -235,10 +235,8 @@ TEST(Observability, ScenarioHonorsExternalRegistry) {
 // loop.events_dispatched equals processed(), and worlds sharing one registry
 // sum.
 
-cloudsim::ScenarioConfig faulted_world(cloudsim::ClientEngine engine,
-                                       std::uint64_t seed) {
+cloudsim::ScenarioConfig faulted_world(std::uint64_t seed) {
   auto cfg = cloudsim::faulted_config();  // lossy, duplicating, one crash
-  cfg.client_engine = engine;
   cfg.seed = seed;
   cfg.record_net_trace = false;
   return cfg;
@@ -278,36 +276,32 @@ void expect_published(const obs::MetricsSnapshot& m,
 }
 
 TEST(Observability, NetAndLoopMetricsArePublishedAtEveryRunReturn) {
-  for (const auto engine :
-       {cloudsim::ClientEngine::kFlat, cloudsim::ClientEngine::kPerObject}) {
-    cloudsim::Scenario s(faulted_world(engine, 42));
-    bool saw_in_flight = false;
-    for (double t = 1.0; t <= 10.0; t += 1.0) {
-      ASSERT_TRUE(s.run_until(t));
-      const auto& net = s.world().network().stats();
-      saw_in_flight = saw_in_flight || net.in_flight > 0;
-      expect_published(s.metrics(), net, s.world().loop().processed(),
-                       "engine " + std::to_string(static_cast<int>(engine)) +
-                           " t=" + std::to_string(t));
-    }
-    // Not vacuous: faults fired, and some window ended with traffic in
-    // flight, so a per-message gauge and a published one could differ.
+  cloudsim::Scenario s(faulted_world(42));
+  bool saw_in_flight = false;
+  for (double t = 1.0; t <= 10.0; t += 1.0) {
+    ASSERT_TRUE(s.run_until(t));
     const auto& net = s.world().network().stats();
-    EXPECT_GT(net.dropped_faulted, 0u);
-    EXPECT_GT(net.duplicated, 0u);
-    EXPECT_TRUE(saw_in_flight);
-    EXPECT_EQ(s.fault_stats().crashes_executed, 1u);
+    saw_in_flight = saw_in_flight || net.in_flight > 0;
+    expect_published(s.metrics(), net, s.world().loop().processed(),
+                     "t=" + std::to_string(t));
   }
+  // Not vacuous: faults fired, and some window ended with traffic in
+  // flight, so a per-message gauge and a published one could differ.
+  const auto& net = s.world().network().stats();
+  EXPECT_GT(net.dropped_faulted, 0u);
+  EXPECT_GT(net.duplicated, 0u);
+  EXPECT_TRUE(saw_in_flight);
+  EXPECT_EQ(s.fault_stats().crashes_executed, 1u);
 }
 
 TEST(Observability, WorldsSharingARegistrySumTheirNetMetrics) {
   obs::Registry shared;
-  auto flat = faulted_world(cloudsim::ClientEngine::kFlat, 7);
-  auto per_object = faulted_world(cloudsim::ClientEngine::kPerObject, 8);
-  flat.registry = &shared;
-  per_object.registry = &shared;
-  cloudsim::Scenario a(flat);
-  cloudsim::Scenario b(per_object);
+  auto first = faulted_world(7);
+  auto second = faulted_world(8);
+  first.registry = &shared;
+  second.registry = &shared;
+  cloudsim::Scenario a(first);
+  cloudsim::Scenario b(second);
   bool saw_in_flight = false;
   for (double t = 1.0; t <= 8.0; t += 1.0) {
     ASSERT_TRUE(a.run_until(t));
@@ -323,7 +317,7 @@ TEST(Observability, WorldsSharingARegistrySumTheirNetMetrics) {
 }
 
 TEST(Observability, RunThatExhaustsTheEventBudgetStillPublishes) {
-  cloudsim::Scenario s(faulted_world(cloudsim::ClientEngine::kFlat, 42));
+  cloudsim::Scenario s(faulted_world(42));
   ASSERT_TRUE(s.run_until(2.0));
   auto& loop = s.world().loop();
   const std::uint64_t budget = loop.processed() + 777;
