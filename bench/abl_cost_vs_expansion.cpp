@@ -42,6 +42,9 @@ int run_bench(int argc, char** argv) {
   bench::MetricsExport metrics_export;
   metrics_export.add_flags(flags);
   flags.parse(argc, argv);
+  // 0 would run the adaptive Theorem-1 controller and 1 saves nobody: either
+  // way the table would not price the shuffling the verdict claims.
+  bench::require_at_least("replicas", replicas, 2);
 
   core::CostRates rates;  // defaults: small-instance public cloud
   const double target = 0.80;

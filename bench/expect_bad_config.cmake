@@ -10,6 +10,8 @@
 #         -DADAPTIVE=<abl_adaptive_attackers binary>
 #         -DSTRATEGIES=<abl_attacker_strategies binary>
 #         -DFIG05=<fig05_dp_runtime binary>
+#         -DFIG06=<fig06_greedy_runtime binary>
+#         -DCOST_EXPANSION=<abl_cost_vs_expansion binary>
 #         -DMICRO=<micro_algorithms binary>
 #         -P expect_bad_config.cmake
 
@@ -60,5 +62,13 @@ expect_exit_2("abl_attacker_strategies: --bots must be >= 1 (got 0)"
               ${STRATEGIES} --bots 0)
 expect_exit_2("fig05_dp_runtime: --scaled-clients must be >= 20 (got 0)"
               ${FIG05} --scaled-clients 0)
+expect_exit_2("fig05_dp_runtime: --threads must be >= 0 (got -1)"
+              ${FIG05} --threads -1)
+expect_exit_2("fig06_greedy_runtime: --iters must be >= 1 (got 0)"
+              ${FIG06} --iters 0)
+expect_exit_2("abl_cost_vs_expansion: --replicas must be >= 2 (got 1)"
+              ${COST_EXPANSION} --replicas 1)
+expect_exit_2("abl_cost_vs_expansion: --replicas must be >= 2 (got 0)"
+              ${COST_EXPANSION} --replicas 0)
 expect_exit_2("micro_algorithms: --bench-json <path> takes no other flags"
               ${MICRO} --bench-json unused.json --max-warm-ms 2000)

@@ -71,6 +71,8 @@ int run_bench(int argc, char** argv) {
   // Below 20 clients the smallest ratio (P/N = M/N = 0.05) rounds to zero
   // and the measured grid is empty.
   bench::require_at_least("scaled-clients", scaled_n, 20);
+  // Negative counts would silently run on every hardware thread, as 0 does.
+  bench::require_at_least_zero("threads", threads_flag);
 
   const Count n = scaled_n;
 

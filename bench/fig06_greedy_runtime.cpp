@@ -31,6 +31,8 @@ int run_bench(int argc, char** argv) {
   bench::MetricsExport metrics_export;
   metrics_export.add_flags(flags);
   flags.parse(argc, argv);
+  // Zero iterations would divide by zero: every timing cell would read inf.
+  bench::require_at_least_one("iters", iters);
 
   const std::vector<Count> replica_counts = {50, 100, 150, 200};
   const std::vector<Count> bot_counts = {50, 100, 200, 300, 400, 500};

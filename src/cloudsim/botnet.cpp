@@ -35,11 +35,11 @@ void NaiveBot::flood_tick() {
 
 // ---- Botmaster -------------------------------------------------------------
 
-Botmaster::Botmaster(World& world, std::string name, BotmasterConfig config)
-    : Node(world, std::move(name)), config_(config) {}
+Botmaster::Botmaster(World& world, std::string name)
+    : Node(world, std::move(name)) {}
 
 void Botmaster::on_start() {
-  loop().schedule_after(config_.command_interval_s, [this] { command_tick(); });
+  loop().schedule_after(kCommandIntervalS, [this] { command_tick(); });
 }
 
 void Botmaster::on_message(const Message& msg) {
@@ -63,7 +63,7 @@ void Botmaster::command_tick() {
       send(bot, MessageType::kFloodCommand, kControlMessageBytes, cmd);
     }
   }
-  loop().schedule_after(config_.command_interval_s, [this] { command_tick(); });
+  loop().schedule_after(kCommandIntervalS, [this] { command_tick(); });
 }
 
 }  // namespace shuffledef::cloudsim

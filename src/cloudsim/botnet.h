@@ -42,13 +42,9 @@ class NaiveBot final : public Node {
   std::uint64_t junk_sent_ = 0;
 };
 
-struct BotmasterConfig {
-  double command_interval_s = 1.0;
-};
-
 class Botmaster final : public Node {
  public:
-  Botmaster(World& world, std::string name, BotmasterConfig config);
+  Botmaster(World& world, std::string name);
 
   void add_naive_bot(NodeId bot) { naive_bots_.push_back(bot); }
 
@@ -58,9 +54,11 @@ class Botmaster final : public Node {
   [[nodiscard]] const std::set<NodeId>& hit_list() const { return hit_list_; }
 
  private:
+  /// Period of the flood commands to the naive bots.
+  static constexpr double kCommandIntervalS = 1.0;
+
   void command_tick();
 
-  BotmasterConfig config_;
   std::vector<NodeId> naive_bots_;
   std::set<NodeId> hit_list_;
   bool hit_list_dirty_ = false;

@@ -18,9 +18,6 @@ constexpr std::int64_t kShardGrain = 4096;
 
 ClientSwarm::ClientSwarm(World& world, std::string name, SwarmConfig config)
     : Node(world, std::move(name)), config_(std::move(config)) {
-  if (config_.sweep_dt_s <= 0.0) {
-    throw std::invalid_argument("ClientSwarm: sweep_dt_s must be > 0");
-  }
   if (config_.shard_threads < 1) {
     throw std::invalid_argument("ClientSwarm: shard_threads must be >= 1");
   }
@@ -108,7 +105,7 @@ void ClientSwarm::finalize() {
                      });
     loop().schedule_at(start_at_[static_cast<std::size_t>(start_order_[0])],
                        [this] { start_walk(); });
-    loop().schedule_after(config_.sweep_dt_s, [this] { sweep(); });
+    loop().schedule_after(kSweepDtS, [this] { sweep(); });
   }
   if (config_.strategy != nullptr && bot_members() > 0) {
     loop().schedule_after(config_.strategy_round_s,
@@ -460,7 +457,7 @@ void ClientSwarm::sweep() {
   // Serial emission in member-index order: the only pass that touches the
   // network, stats, or phases — the event loop stays single-threaded.
   emit_actions(now);
-  loop().schedule_after(config_.sweep_dt_s, [this] { sweep(); });
+  loop().schedule_after(kSweepDtS, [this] { sweep(); });
 }
 
 void ClientSwarm::strategy_round() {

@@ -22,7 +22,7 @@
 //    bot junk/heavy cadences) runs in a periodic *sweep*: one repeating
 //    scheduled event scans the deadline columns instead of one scheduled
 //    closure per timer.  Deadlines therefore fire on sweep boundaries —
-//    quantized by at most `sweep_dt_s` — which is the engine's documented
+//    quantized by at most `kSweepDtS` — which is the engine's documented
 //    accuracy contract.  A heartbeat pings `heartbeat_s` after the previous
 //    pong arrived.
 //  * The sweep's scan phase and the botnet's strategy rounds shard across
@@ -72,8 +72,6 @@ struct SwarmConfig {
   double strategy_round_s = 1.0;
   std::int32_t strategy_replicas = 0;
 
-  /// Sweep cadence: the engine's timer-quantization granularity.
-  double sweep_dt_s = 0.25;
   /// Worker threads for the sweep scan and batched strategy rounds (1 =
   /// serial).  Bit-identical results at every setting.
   int shard_threads = 1;
@@ -118,6 +116,8 @@ class ClientSwarm final : public Node {
   static constexpr int kMaxRetries = 4;
   /// Bots' request timeout (benign members use SwarmConfig's).
   static constexpr double kBotRequestTimeoutS = 4.0;
+  /// Sweep cadence: the engine's timer-quantization granularity.
+  static constexpr double kSweepDtS = 0.25;
 
   ClientSwarm(World& world, std::string name, SwarmConfig config);
 

@@ -15,16 +15,6 @@ CoordinationServer::CoordinationServer(World& world, std::string name,
     : Node(world, std::move(name)),
       config_(config),
       controller_(config.controller) {
-  if (config_.provision_timeout_s <= 0 || config_.command_timeout_s <= 0 ||
-      config_.retry_backoff_initial_s <= 0 ||
-      config_.retry_backoff_cap_s < config_.retry_backoff_initial_s) {
-    throw std::invalid_argument(
-        "CoordinatorConfig: timeouts/backoff must be positive and "
-        "cap >= initial");
-  }
-  if (config_.provision_max_retries < 0 || config_.command_max_retries < 0) {
-    throw std::invalid_argument("CoordinatorConfig: negative retry limit");
-  }
   if (config_.fixed_cadence_s < 0) {
     throw std::invalid_argument("CoordinatorConfig: negative fixed cadence");
   }
@@ -101,13 +91,13 @@ ReplicaServer* CoordinationServer::replica_ptr(NodeId id) {
   return dynamic_cast<ReplicaServer*>(world().node(id));
 }
 
-double CoordinationServer::backoff_s(int attempt) const {
-  double delay = config_.retry_backoff_initial_s;
+double CoordinationServer::backoff_s(int attempt) {
+  double delay = kRetryBackoffInitialS;
   for (int i = 1; i < attempt; ++i) {
     delay *= 2.0;
-    if (delay >= config_.retry_backoff_cap_s) break;
+    if (delay >= kRetryBackoffCapS) break;
   }
-  return std::min(delay, config_.retry_backoff_cap_s);
+  return std::min(delay, kRetryBackoffCapS);
 }
 
 void CoordinationServer::on_message(const Message& msg) {
@@ -165,7 +155,7 @@ void CoordinationServer::evaluate_qos() {
   // sample must not pin the overloaded set — or the recovery — forever.
   std::erase_if(qos_table_, [&](const auto& kv) {
     return !active_replicas_.contains(kv.first) ||
-           now - kv.second.at > config_.qos.stale_after_s;
+           now - kv.second.at > kQosStaleAfterS;
   });
 
   // Threshold each replica into the overloaded set (memec: per-server load
@@ -414,12 +404,11 @@ void CoordinationServer::request_wave(
 void CoordinationServer::arm_provision_watchdog(
     const std::shared_ptr<PendingRound>& round) {
   const int armed_attempt = round->attempt;
-  loop().schedule_after(config_.provision_timeout_s, [this, round,
-                                                      armed_attempt] {
+  loop().schedule_after(kProvisionTimeoutS, [this, round, armed_attempt] {
     if (round->deployed || round->attempt != armed_attempt) return;
     const std::int64_t missing =
         round->target - static_cast<std::int64_t>(round->ready.size());
-    if (round->attempt > config_.provision_max_retries) {
+    if (round->attempt > kProvisionMaxRetries) {
       // Out of retries: deploy degraded onto whatever booted.
       SDEF_LOG(Warn) << name() << ": provisioning gave up with "
                      << round->ready.size() << "/" << round->target
@@ -562,15 +551,15 @@ void CoordinationServer::arm_command_watchdog(NodeId replica,
   const auto it = pending_commands_.find(replica);
   if (it == pending_commands_.end()) return;
   // Ack deadline doubles per resend, capped.
-  const double deadline = std::min(
-      config_.command_timeout_s * static_cast<double>(1 << it->second.resends),
-      config_.command_timeout_s + config_.retry_backoff_cap_s);
+  const double deadline =
+      std::min(kCommandTimeoutS * static_cast<double>(1 << it->second.resends),
+               kCommandTimeoutS + kRetryBackoffCapS);
   loop().schedule_after(deadline, [this, replica, epoch] {
     const auto itw = pending_commands_.find(replica);
     if (itw == pending_commands_.end() || itw->second.epoch != epoch) {
       return;  // acknowledged (or superseded) in the meantime
     }
-    if (itw->second.resends >= config_.command_max_retries) {
+    if (itw->second.resends >= kCommandMaxRetries) {
       // No ack after every retry: the replica is presumed crashed.  Remove
       // it so fresh arrivals and heartbeat-rejoining clients only ever see
       // live replicas.

@@ -20,12 +20,12 @@
 //
 //   * provisioning — instances are requested individually and collected
 //     against a deadline; missing instances are re-requested up to
-//     `provision_max_retries` times, after which the round deploys degraded
+//     `kProvisionMaxRetries` times, after which the round deploys degraded
 //     onto whatever booted (late stragglers become hot spares).  With no
 //     replicas at all the round re-queues its reports and retries later.
 //   * shuffle commands — each kShuffleCommand must be acknowledged by the
 //     replica's kDecommission; unacknowledged commands are re-sent (the
-//     replica side is idempotent), and after `command_max_retries` the
+//     replica side is idempotent), and after `kCommandMaxRetries` the
 //     replica is presumed crashed and force-recycled so its clients'
 //     heartbeat rejoin path finds only live replicas.
 #pragma once
@@ -97,24 +97,6 @@ struct CoordinatorConfig {
   double aggregation_window_s = 0.3;
   /// First-round bot estimate as a fraction of the affected pool.
   double initial_bot_fraction = 0.1;
-
-  // ---- control-plane robustness ---------------------------------------------
-  /// Deadline for a wave of provision requests before the shortfall is
-  /// re-requested.  Must comfortably exceed the provider's boot delay.
-  double provision_timeout_s = 3.0;
-  /// Re-request waves beyond the first (0 = never retry, fail fast).
-  int provision_max_retries = 4;
-  /// Backoff between provisioning retry waves: initial * 2^(attempt-1),
-  /// capped.
-  double retry_backoff_initial_s = 0.25;
-  double retry_backoff_cap_s = 2.0;
-  /// Deadline for a replica's kDecommission ack of a kShuffleCommand before
-  /// the command is re-sent (doubles per resend, capped at
-  /// retry_backoff_cap_s + command_timeout_s).
-  double command_timeout_s = 1.5;
-  /// Re-sends beyond the first command; afterwards the replica is presumed
-  /// crashed and force-recycled.
-  int command_max_retries = 4;
 
   // ---- shuffle triggering ----------------------------------------------------
   /// Closed-loop latency feedback (cloudsim/qos.h).  When `qos.enabled`,
@@ -203,6 +185,27 @@ class CoordinationServer final : public Node {
   }
 
  private:
+  // ---- control-plane robustness ---------------------------------------------
+  /// Deadline for a wave of provision requests before the shortfall is
+  /// re-requested.  Must comfortably exceed the provider's boot delay.
+  static constexpr double kProvisionTimeoutS = 3.0;
+  /// Re-request waves beyond the first.
+  static constexpr int kProvisionMaxRetries = 4;
+  /// Backoff between provisioning retry waves: initial * 2^(attempt-1),
+  /// capped.
+  static constexpr double kRetryBackoffInitialS = 0.25;
+  static constexpr double kRetryBackoffCapS = 2.0;
+  /// Deadline for a replica's kDecommission ack of a kShuffleCommand before
+  /// the command is re-sent (doubles per resend, capped at
+  /// kRetryBackoffCapS + kCommandTimeoutS).
+  static constexpr double kCommandTimeoutS = 1.5;
+  /// Re-sends beyond the first command; afterwards the replica is presumed
+  /// crashed and force-recycled.
+  static constexpr int kCommandMaxRetries = 4;
+  /// QoS reports older than this are forgotten (a silent replica — crashed
+  /// or its control lane lossy — must not pin the overloaded set forever).
+  static constexpr double kQosStaleAfterS = 3.0;
+
   /// One in-flight shuffle round waiting on provisioning.
   struct PendingRound {
     std::vector<NodeId> attacked;
@@ -245,7 +248,7 @@ class CoordinationServer final : public Node {
   void send_shuffle_command(NodeId replica);
   void arm_command_watchdog(NodeId replica, std::uint64_t epoch);
   void drop_replica(NodeId replica);
-  [[nodiscard]] double backoff_s(int attempt) const;
+  [[nodiscard]] static double backoff_s(int attempt);
   [[nodiscard]] ReplicaServer* replica_ptr(NodeId id);
 
   CoordinatorConfig config_;

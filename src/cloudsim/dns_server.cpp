@@ -1,7 +1,5 @@
 #include "cloudsim/dns_server.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 
 namespace shuffledef::cloudsim {
@@ -15,19 +13,6 @@ void DnsServer::register_load_balancer(const std::string& service, NodeId lb) {
 
 void DnsServer::register_load_balancer(ServiceId service, NodeId lb) {
   records_[service].load_balancers.push_back(lb);
-}
-
-void DnsServer::unregister_load_balancer(const std::string& service,
-                                         NodeId lb) {
-  unregister_load_balancer(world().intern_service(service), lb);
-}
-
-void DnsServer::unregister_load_balancer(ServiceId service, NodeId lb) {
-  auto it = records_.find(service);
-  if (it == records_.end()) return;
-  auto& lbs = it->second.load_balancers;
-  lbs.erase(std::remove(lbs.begin(), lbs.end(), lb), lbs.end());
-  it->second.next = 0;
 }
 
 void DnsServer::on_message(const Message& msg) {

@@ -21,8 +21,6 @@ class DnsServer final : public Node {
 
   void register_load_balancer(const std::string& service, NodeId lb);
   void register_load_balancer(ServiceId service, NodeId lb);
-  void unregister_load_balancer(const std::string& service, NodeId lb);
-  void unregister_load_balancer(ServiceId service, NodeId lb);
 
   void on_message(const Message& msg) override;
 

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/validation.h"
+
 namespace shuffledef::cloudsim {
 
 bool FaultConfig::active() const {
@@ -27,9 +29,6 @@ std::vector<std::string> FaultConfig::violations(
   if (!(provision_delay_factor > 0.0)) {
     out.push_back(prefix + "provision_delay_factor must be > 0");
   }
-  if (dup_extra_delay_s < 0.0) {
-    out.push_back(prefix + "dup_extra_delay_s must be >= 0");
-  }
   for (const auto& flap : link_flaps) {
     if (flap.start_s < 0.0 || flap.duration_s < 0.0) {
       out.push_back(prefix + "link-flap windows must be non-negative");
@@ -41,12 +40,7 @@ std::vector<std::string> FaultConfig::violations(
 
 FaultInjector::FaultInjector(FaultConfig config, util::Rng rng)
     : config_(std::move(config)), rng_(rng) {
-  if (const auto violations = config_.violations(); !violations.empty()) {
-    std::string message = "FaultConfig: " + std::to_string(violations.size()) +
-                          " violation(s)";
-    for (const auto& v : violations) message += "; " + v;
-    throw std::invalid_argument(message);
-  }
+  util::throw_if_invalid("FaultConfig", config_.violations());
 }
 
 void FaultInjector::set_registry(obs::Registry* registry) {

@@ -60,8 +60,6 @@ struct FaultConfig {
   double ctrl_loss_prob = 0.0;
   double data_dup_prob = 0.0;
   double ctrl_dup_prob = 0.0;
-  /// Extra delay before a duplicated copy re-enters the sender's NIC.
-  double dup_extra_delay_s = 0.005;
 
   /// Absolute sim times at which one live replica crashes (victim chosen
   /// deterministically by the Scenario through the injector's RNG).
@@ -74,9 +72,6 @@ struct FaultConfig {
   double provision_failure_prob = 0.0;
 
   std::vector<LinkFlap> link_flaps;
-
-  /// Salt for the fault RNG substream (forked off the scenario seed).
-  std::uint64_t rng_salt = 0xFA177;
 
   /// True when any knob deviates from the fault-free default.
   [[nodiscard]] bool active() const;
@@ -102,6 +97,9 @@ enum class FaultAction : std::uint8_t { kDeliver, kDrop, kDuplicate };
 
 class FaultInjector {
  public:
+  /// Extra delay before a duplicated copy re-enters the sender's NIC.
+  static constexpr double kDupExtraDelayS = 0.005;
+
   FaultInjector(FaultConfig config, util::Rng rng);
 
   /// Fate of one message about to leave its sender's NIC.  `priority` is
@@ -125,7 +123,6 @@ class FaultInjector {
   /// draws, so the fault sequence is unchanged.  nullptr detaches.
   void set_registry(obs::Registry* registry);
 
-  [[nodiscard]] const FaultConfig& config() const { return config_; }
   [[nodiscard]] const FaultStats& stats() const { return stats_; }
 
  private:

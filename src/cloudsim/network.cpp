@@ -6,21 +6,9 @@
 
 #include "cloudsim/fault.h"
 #include "cloudsim/node.h"
+#include "util/validation.h"
 
 namespace shuffledef::cloudsim {
-
-namespace {
-
-void throw_if_invalid(const char* what,
-                      const std::vector<std::string>& violations) {
-  if (violations.empty()) return;
-  std::string message = std::string(what) + ": " +
-                        std::to_string(violations.size()) + " violation(s)";
-  for (const auto& v : violations) message += "; " + v;
-  throw std::invalid_argument(message);
-}
-
-}  // namespace
 
 std::vector<std::string> NicConfig::violations(
     const std::string& prefix) const {
@@ -57,7 +45,7 @@ std::vector<std::string> NetworkConfig::violations(
 
 Network::Network(EventLoop& loop, NetworkConfig config)
     : loop_(loop), config_(config) {
-  throw_if_invalid("NetworkConfig", config_.violations());
+  util::throw_if_invalid("NetworkConfig", config_.violations());
   pod_walk_kind_ = loop_.register_pod_handler(
       [](void* ctx, std::uint32_t lane, std::uint32_t gen) {
         static_cast<Network*>(ctx)->walk_lane(lane, gen);
@@ -103,7 +91,7 @@ void Network::publish() noexcept {
 
 NodeId Network::attach(Node* node, NicConfig nic) {
   if (node == nullptr) throw std::invalid_argument("Network: null node");
-  throw_if_invalid("NicConfig", nic.violations());
+  util::throw_if_invalid("NicConfig", nic.violations());
   Port port;
   port.node = node;
   port.nic = nic;
@@ -187,7 +175,7 @@ bool Network::admit(Message& msg) {
         ++stats_.in_flight;
         resolve(msg, NetTraceEvent::Outcome::kDuplicated);
         const std::uint32_t slot = acquire(Message(msg));
-        loop_.schedule_after(fault_->config().dup_extra_delay_s,
+        loop_.schedule_after(FaultInjector::kDupExtraDelayS,
                              [this, slot] { dispatch(slot); });
         break;
       }

@@ -1,7 +1,8 @@
 #include "cloudsim/qos.h"
 
 #include <limits>
-#include <stdexcept>
+
+#include "util/validation.h"
 
 namespace shuffledef::cloudsim {
 
@@ -26,9 +27,6 @@ std::vector<std::string> QosConfig::violations(const std::string& prefix) const 
   }
   if (!(overload_queue_s > 0.0)) {
     out.push_back(prefix + "overload_queue_s must be > 0");
-  }
-  if (!(stale_after_s > 0.0)) {
-    out.push_back(prefix + "stale_after_s must be > 0");
   }
   if (start_fraction < 0.0 || start_fraction > 1.0) {
     out.push_back(prefix + "start_fraction must be in [0, 1]");
@@ -58,12 +56,7 @@ std::vector<std::string> QosConfig::violations(const std::string& prefix) const 
 }
 
 void QosConfig::validate() const {
-  const auto found = violations();
-  if (found.empty()) return;
-  std::string message =
-      "QosConfig: " + std::to_string(found.size()) + " violation(s)";
-  for (const auto& v : found) message += "; " + v;
-  throw std::invalid_argument(message);
+  util::throw_if_invalid("QosConfig", violations());
 }
 
 QosPhaseMachine::QosPhaseMachine(const QosConfig& config) : config_(config) {

@@ -64,9 +64,6 @@ struct QosConfig {
   double overload_latency_s = 0.25;
   /// ...or its reported queue depth (CPU backlog + egress backlog) does.
   double overload_queue_s = 1.0;
-  /// Reports older than this are forgotten (a silent replica — crashed or
-  /// its control lane lossy — must not pin the overloaded set forever).
-  double stale_after_s = 3.0;
 
   // ---- phase machine ---------------------------------------------------------
   /// kNormal -> kOverload when overloaded > start_fraction * total.

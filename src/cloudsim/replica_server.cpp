@@ -83,8 +83,8 @@ void ReplicaServer::detection_tick() {
     // Report once per episode, then renew periodically while the attack
     // persists: the control channel may lose reports, and a lost or failed
     // shuffle round must not leave the replica silently burning.
-    const bool renew = attack_reported_ && config_.report_renew_s > 0 &&
-                       loop().now() - last_report_at_ >= config_.report_renew_s;
+    const bool renew = attack_reported_ &&
+                       loop().now() - last_report_at_ >= kReportRenewS;
     if (!attack_reported_ || renew) {
       if (!attack_reported_) {
         SDEF_LOG(Info) << name() << ": attack detected (junk " << junk_rate
@@ -100,7 +100,7 @@ void ReplicaServer::serve(NodeId reply_to, double cpu_seconds,
                           std::int32_t reply_bytes) {
   const double now = loop().now();
   const double start = std::max(now, cpu_busy_until_);
-  if (start + cpu_seconds - now > config_.cpu_queue_limit_s) {
+  if (start + cpu_seconds - now > kCpuQueueLimitS) {
     ++stats_.shed_cpu_overload;
     return;
   }

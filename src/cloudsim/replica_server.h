@@ -47,14 +47,9 @@ inline constexpr std::string_view kMetricReplicaQueueDepthPeakUs =
 struct ReplicaConfig {
   std::int64_t page_bytes = 246 * 1024;  // the prototype's 246 KB page
   double cpu_per_request_s = 0.002;      // ~500 pages/s when healthy
-  double cpu_queue_limit_s = 2.0;        // shed load beyond this backlog
   double detect_window_s = 0.5;
   double junk_rate_threshold = 200.0;    // packets/s
   double cpu_backlog_threshold_s = 1.0;  // computational-attack indicator
-  /// While still under attack, re-send the attack report this long after
-  /// the previous one, so a lost report (or a lost/failed shuffle round)
-  /// cannot silence the defense forever.  0 = report once per episode.
-  double report_renew_s = 2.0;
   /// Threads for building large shuffle-redirect batches (deterministic
   /// chunks: the result is bit-identical at every value).  1 = serial.
   int shard_threads = 1;
@@ -118,6 +113,13 @@ class ReplicaServer final : public Node {
   [[nodiscard]] double queue_depth_s() const;
 
  private:
+  /// Shed load beyond this CPU backlog.
+  static constexpr double kCpuQueueLimitS = 2.0;
+  /// While still under attack, re-send the attack report this long after
+  /// the previous one, so a lost report (or a lost/failed shuffle round)
+  /// cannot silence the defense forever.
+  static constexpr double kReportRenewS = 2.0;
+
   void detection_tick();
   void qos_tick();
   void send_attack_report(double junk_rate);

@@ -6,7 +6,18 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/validation.h"
+
 namespace shuffledef::cloudsim {
+namespace {
+
+// Salts of the world-stream forks: the fault injector's substream and the
+// per-member behaviour roots of bots and clients.
+constexpr std::uint64_t kFaultStreamSalt = 0xFA177;
+constexpr std::uint64_t kBotBehaviorStreamSalt = 101;
+constexpr std::uint64_t kClientBehaviorStreamSalt = 202;
+
+}  // namespace
 
 std::vector<std::string> ScenarioConfig::validate() const {
   std::vector<std::string> violations;
@@ -66,13 +77,7 @@ std::vector<std::string> ScenarioConfig::validate() const {
     }
     append(bot_strategy_options.violations("bot_strategy_options."));
   }
-  if (!(bot_strategy_round_s > 0.0)) {
-    violations.push_back("bot_strategy_round_s must be > 0");
-  }
   if (shard_threads < 1) violations.push_back("shard_threads must be >= 1");
-  if (!(swarm_sweep_dt_s > 0.0)) {
-    violations.push_back("swarm_sweep_dt_s must be > 0");
-  }
   append(coordinator.controller.violations("coordinator.controller."));
   if (qos.enabled) append(qos.violations("qos."));
   append(faults.violations("faults."));
@@ -80,12 +85,7 @@ std::vector<std::string> ScenarioConfig::validate() const {
 }
 
 Scenario::Scenario(ScenarioConfig config) {
-  if (const auto violations = config.validate(); !violations.empty()) {
-    std::string message = "ScenarioConfig: " +
-                          std::to_string(violations.size()) + " violation(s)";
-    for (const auto& v : violations) message += "; " + v;
-    throw std::invalid_argument(message);
-  }
+  util::throw_if_invalid("ScenarioConfig", config.validate());
   // Replica-side shuffle fan-out shards on the same knob as the swarm.
   config.replica.shard_threads = config.shard_threads;
 
@@ -124,7 +124,7 @@ Scenario::Scenario(ScenarioConfig config) {
   // inert config leaves the world untouched.
   if (config.faults.active()) {
     fault_ = std::make_unique<FaultInjector>(
-        config.faults, world_->rng().fork(config.faults.rng_salt));
+        config.faults, world_->rng().fork(kFaultStreamSalt));
     fault_->set_registry(registry_);
     world_->network().set_fault_injector(fault_.get());
     for (const double t : config.faults.replica_crash_times_s) {
@@ -195,8 +195,7 @@ void Scenario::build_population(const ScenarioConfig& config) {
   // The botmaster attaches before the swarm: member ports must stay a
   // contiguous range, so no other node may attach between add_* calls.
   if (config.persistent_bots > 0 || config.naive_bots > 0) {
-    botmaster_ = world_->spawn<Botmaster>(config.infra_nic, "botmaster",
-                                          BotmasterConfig{});
+    botmaster_ = world_->spawn<Botmaster>(config.infra_nic, "botmaster");
   }
   // One shared strategy object for the whole botnet; per-bot behavior
   // streams fork off the scenario seed chain (Rng::fork is const, so an
@@ -206,8 +205,6 @@ void Scenario::build_population(const ScenarioConfig& config) {
     bot_strategy_ =
         core::make_strategy(config.bot_strategy, config.bot_strategy_options);
   }
-  constexpr std::uint64_t kBotBehaviorStreamSalt = 101;
-  constexpr std::uint64_t kClientBehaviorStreamSalt = 202;
   const util::Rng behavior_root = world_->rng().fork(kBotBehaviorStreamSalt);
 
   SwarmConfig sc;
@@ -221,9 +218,7 @@ void Scenario::build_population(const ScenarioConfig& config) {
   sc.bot_heavy_interval_s = config.bot_heavy_interval_s;
   sc.bot_heavy_cpu_seconds = config.bot_heavy_cpu_seconds;
   sc.strategy = bot_strategy_.get();
-  sc.strategy_round_s = config.bot_strategy_round_s;
   sc.strategy_replicas = config.initial_replicas;
-  sc.sweep_dt_s = config.swarm_sweep_dt_s;
   sc.shard_threads = config.shard_threads;
   sc.behavior_root = world_->rng().fork(kClientBehaviorStreamSalt);
   swarm_ = world_->spawn<ClientSwarm>(config.infra_nic, "swarm",

@@ -85,8 +85,6 @@ struct ScenarioConfig {
   /// world's shared stream.
   std::string bot_strategy;
   core::StrategyOptions bot_strategy_options;
-  /// Sim-time length of one strategy round for the bots.
-  double bot_strategy_round_s = 1.0;
 
   // ---- client engine ---------------------------------------------------------
   /// Read by nothing (see ClientEngine).
@@ -95,9 +93,6 @@ struct ScenarioConfig {
   /// rounds, and the replicas' shuffle-push fan-out build (1 = serial;
   /// results are bit-identical at every setting).
   std::int32_t shard_threads = 1;
-  /// Swarm timer granularity (timeouts/heartbeats/bot cadences fire on
-  /// sweep boundaries).
-  double swarm_sweep_dt_s = 0.25;
 
   NetworkConfig network;
 
@@ -160,11 +155,6 @@ class Scenario {
     return bot_strategy_.get();
   }
 
-  /// The installed fault injector, or nullptr when the fault config is
-  /// inert.
-  [[nodiscard]] const FaultInjector* fault_injector() const {
-    return fault_.get();
-  }
   /// Injected-fault counters (all zero when no injector is installed).
   [[nodiscard]] FaultStats fault_stats() const {
     return fault_ ? fault_->stats() : FaultStats{};

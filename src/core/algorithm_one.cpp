@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -27,27 +26,7 @@ double base_case(Count n, Count m) {
   return m == 0 ? static_cast<double>(n) : 0.0;
 }
 
-std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
-  v *= 0x9e3779b97f4a7c15ULL;
-  v ^= v >> 29;
-  h ^= v;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 32;
-  return h;
-}
-
 }  // namespace
-
-std::uint64_t AlgorithmOneOptions::fingerprint() const {
-  std::uint64_t h = 0xa190017700000007ULL;
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(tail_epsilon));
-  std::memcpy(&bits, &tail_epsilon, sizeof(bits));
-  h = mix64(h, bits);
-  h = mix64(h, static_cast<std::uint64_t>(a_cap));
-  h = mix64(h, symmetry_cut ? 1u : 0u);
-  return h;
-}
 
 struct AlgorithmOnePlanner::Tables {
   Count clients = 0;

@@ -41,7 +41,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 
 #include "core/planner.h"
@@ -79,13 +78,6 @@ struct AlgorithmOneOptions {
   /// "planner.algorithm1.solve".  Counts are independent of the thread
   /// count, so snapshots stay deterministic.
   obs::Registry* registry = nullptr;
-
-  /// Fingerprint over the value-affecting options (tail_epsilon, a_cap,
-  /// symmetry_cut).  Two option sets with equal fingerprints produce
-  /// bit-identical DP tables, so the fingerprint keys PlannerCache entries
-  /// in ShuffleController::decide.  Execution knobs (threads, registry,
-  /// limits) are deliberately excluded — they never change values.
-  [[nodiscard]] std::uint64_t fingerprint() const;
 };
 
 class AlgorithmOnePlanner final : public Planner {
@@ -103,12 +95,6 @@ class AlgorithmOnePlanner final : public Planner {
   [[nodiscard]] AssignmentPlan plan(const ShuffleProblem& problem) const override;
 
   [[nodiscard]] std::string name() const override { return "algorithm1"; }
-
-  /// The options fingerprint (see AlgorithmOneOptions::fingerprint), so
-  /// PlannerCache keys distinguish differently-configured instances.
-  [[nodiscard]] std::uint64_t options_fingerprint() const override {
-    return options_.fingerprint();
-  }
 
  private:
   struct Tables;

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/validation.h"
+
 namespace shuffledef::core {
 
 namespace {
@@ -184,12 +186,7 @@ std::vector<std::string> StrategyOptions::violations(
 }
 
 void StrategyOptions::validate() const {
-  if (const auto violations = this->violations(); !violations.empty()) {
-    std::string message = "StrategyOptions: " +
-                          std::to_string(violations.size()) + " violation(s)";
-    for (const auto& v : violations) message += "; " + v;
-    throw std::invalid_argument(message);
-  }
+  util::throw_if_invalid("StrategyOptions", violations());
 }
 
 double coupon_rediscovery_probability(Count replicas, Count probes) {

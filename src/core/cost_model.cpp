@@ -56,28 +56,6 @@ Count expansion_replicas_for_fraction(Count clients, Count bots,
   return hi;
 }
 
-std::vector<std::string> CostRates::violations(
-    const std::string& prefix) const {
-  std::vector<std::string> out;
-  const auto non_negative = [&](double v, const char* name) {
-    if (!(v >= 0.0)) out.push_back(prefix + name + " must be >= 0");
-  };
-  non_negative(replica_hour_usd, "replica_hour_usd");
-  non_negative(launch_usd, "launch_usd");
-  non_negative(egress_gb_usd, "egress_gb_usd");
-  non_negative(shuffle_round_seconds, "shuffle_round_seconds");
-  return out;
-}
-
-void CostRates::validate() const {
-  if (const auto violations = this->violations(); !violations.empty()) {
-    std::string message = "CostRates: " + std::to_string(violations.size()) +
-                          " violation(s)";
-    for (const auto& v : violations) message += "; " + v;
-    throw std::invalid_argument(message);
-  }
-}
-
 double shuffle_round_cost_usd(const CostRates& rates, Count replicas,
                               Count migrated_clients,
                               std::int64_t page_bytes) {

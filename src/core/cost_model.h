@@ -22,8 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "core/types.h"
 
@@ -48,13 +46,6 @@ struct CostRates {
   double launch_usd = 0.0005;         // per instance launch (API + boot IO)
   double egress_gb_usd = 0.09;        // per GB served to clients
   double shuffle_round_seconds = 5.0; // wall-clock per round (Figure 12)
-
-  /// All violations at once, each prefixed (e.g. "cost_rates.") for
-  /// embedding in a composite config's report.
-  [[nodiscard]] std::vector<std::string> violations(
-      const std::string& prefix = {}) const;
-  /// Throws std::invalid_argument listing every violation.
-  void validate() const;
 };
 
 /// Price of one shuffle round that migrates `migrated_clients` clients

@@ -13,6 +13,12 @@
 namespace shuffledef::core {
 namespace {
 
+/// Candidates per refinement level of the coarse-to-fine search.
+constexpr Count kGridPoints = 24;
+/// kAuto switches from exact to Gaussian above this replica count (the
+/// exact engine's per-candidate cost grows with P^2 * distinct sizes).
+constexpr Count kAutoExactMaxReplicas = 256;
+
 /// Likelihood evaluator with engine selection, built once per observation so
 /// the engines' plan-dependent structure is reused across all candidate M.
 class LikelihoodFn {
@@ -22,15 +28,14 @@ class LikelihoodFn {
       : plan_(plan), observed_(observed) {
     auto engine = options.engine;
     if (engine == LikelihoodEngine::kAuto) {
-      engine = static_cast<Count>(plan.replica_count()) <=
-                       options.auto_exact_max_replicas
+      engine = static_cast<Count>(plan.replica_count()) <= kAutoExactMaxReplicas
                    ? LikelihoodEngine::kExact
                    : LikelihoodEngine::kGaussian;
     }
     switch (engine) {
       case LikelihoodEngine::kExact:
         try {
-          exact_.emplace(plan, options.max_group_states);
+          exact_.emplace(plan);
         } catch (const std::invalid_argument&) {
           gaussian_.emplace(plan);  // plan too irregular: degrade gracefully
         }
@@ -118,7 +123,7 @@ Count MleEstimator::estimate(const ShuffleObservation& obs) const {
   LikelihoodFn loglik(obs.plan, observed, options_);
 
   const auto search = [&]() -> Count {
-    if (options_.exhaustive || hi_bound - lo_bound <= options_.grid_points * 2) {
+    if (options_.exhaustive || hi_bound - lo_bound <= kGridPoints * 2) {
       Count best_m = lo_bound;
       double best = -std::numeric_limits<double>::infinity();
       for (Count m = lo_bound; m <= hi_bound; ++m) {
@@ -142,7 +147,7 @@ Count MleEstimator::estimate(const ShuffleObservation& obs) const {
     std::vector<Count> grid;  // one level's candidates, ascending and distinct
     while (true) {
       const Count span = hi - lo;
-      const Count points = std::min<Count>(options_.grid_points, span + 1);
+      const Count points = std::min<Count>(kGridPoints, span + 1);
       const double step = static_cast<double>(span) /
                           static_cast<double>(std::max<Count>(points - 1, 1));
       grid.clear();
@@ -190,15 +195,6 @@ Count MleEstimator::estimate(const ShuffleObservation& obs) const {
     engine_restarts_.inc();
   }
   return best_m;
-}
-
-OracleEstimator::OracleEstimator(Count true_bots, double bias)
-    : true_bots_(true_bots), bias_(bias) {}
-
-Count OracleEstimator::estimate(const ShuffleObservation& obs) const {
-  const Count n = obs.plan.total_clients();
-  const double biased = static_cast<double>(true_bots_) * bias_;
-  return std::clamp<Count>(static_cast<Count>(std::llround(biased)), 0, n);
 }
 
 }  // namespace shuffledef::core

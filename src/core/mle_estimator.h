@@ -31,12 +31,7 @@ enum class LikelihoodEngine {
 
 struct MleOptions {
   bool exhaustive = false;     // full candidate scan instead of refinement
-  Count grid_points = 24;      // candidates per refinement level
   LikelihoodEngine engine = LikelihoodEngine::kAuto;
-  std::size_t max_group_states = 1u << 22;  // exact-engine guard
-  /// kAuto switches from exact to Gaussian above this replica count (the
-  /// exact engine's per-candidate cost grows with P^2 * distinct sizes).
-  Count auto_exact_max_replicas = 256;
   /// Observability sink (nullptr = uninstrumented): counters
   /// "mle.estimates" and "mle.engine_restarts" plus span "mle.estimate".
   obs::Registry* registry = nullptr;
@@ -54,22 +49,6 @@ class MleEstimator final : public AttackScaleEstimator {
   // Null handles when options_.registry is null (all ops no-op).
   obs::Counter estimates_;
   obs::Counter engine_restarts_;
-};
-
-/// Test/ablation helper: an estimator that knows the truth, optionally with
-/// a forced multiplicative error (e.g. 1.5 = 50% overestimate).
-class OracleEstimator final : public AttackScaleEstimator {
- public:
-  explicit OracleEstimator(Count true_bots, double bias = 1.0);
-
-  [[nodiscard]] Count estimate(const ShuffleObservation& obs) const override;
-  [[nodiscard]] std::string name() const override { return "oracle"; }
-
-  void set_true_bots(Count bots) { true_bots_ = bots; }
-
- private:
-  Count true_bots_;
-  double bias_;
 };
 
 }  // namespace shuffledef::core

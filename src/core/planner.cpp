@@ -15,12 +15,8 @@ std::unique_ptr<Planner> make_planner(const std::string& name,
   if (name == "greedy") return std::make_unique<GreedyPlanner>();
   if (name == "dp") return std::make_unique<SeparableDpPlanner>();
   if (name == "algorithm1") {
-    return std::make_unique<AlgorithmOnePlanner>(
-        AlgorithmOneOptions{.tail_epsilon = options.tail_epsilon,
-                            .a_cap = options.a_cap,
-                            .symmetry_cut = options.symmetry_cut,
-                            .threads = options.threads,
-                            .registry = options.registry});
+    return std::make_unique<AlgorithmOnePlanner>(AlgorithmOneOptions{
+        .threads = options.threads, .registry = options.registry});
   }
   throw std::invalid_argument("make_planner: unknown planner '" + name +
                               "' (expected even|greedy|dp|algorithm1)");

@@ -18,7 +18,6 @@ std::size_t PlannerCache::KeyHash::operator()(
   hash_mix(seed, std::hash<Count>{}(k.problem.clients));
   hash_mix(seed, std::hash<Count>{}(k.problem.bots));
   hash_mix(seed, std::hash<Count>{}(k.problem.replicas));
-  hash_mix(seed, std::hash<std::uint64_t>{}(k.options_fingerprint));
   return seed;
 }
 

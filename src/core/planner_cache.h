@@ -1,7 +1,7 @@
 // LRU memoization of planner results.
 //
-// Every planner in this library is a deterministic pure function of
-// (planner kind, options, ShuffleProblem), and the shuffle loop re-solves
+// Every planner a controller builds is a deterministic pure function of
+// (planner kind, ShuffleProblem), and the shuffle loop re-solves
 // near-identical problems round after round: an all-attacked round leaves
 // the pool unchanged, repeated experiment sweeps revisit the same grid
 // points, and the controller's adaptive P quantizes many distinct pools
@@ -26,12 +26,14 @@
 
 namespace shuffledef::core {
 
+/// The key carries no planner options, so one cache must not serve two
+/// planners of one kind whose options change answers (AlgorithmOneOptions'
+/// tail_epsilon, a_cap, symmetry_cut).  make_planner builds every
+/// controller's planner with the defaults, and each controller owns its
+/// cache.
 struct PlannerCacheKey {
   std::string planner;     // Planner::name()
   ShuffleProblem problem;  // (N, M, P)
-  /// Disambiguates planners of the same kind constructed with different
-  /// options (tail_epsilon, a_cap, ...).  0 for default-constructed options.
-  std::uint64_t options_fingerprint = 0;
 
   friend bool operator==(const PlannerCacheKey&,
                          const PlannerCacheKey&) = default;

@@ -4,10 +4,12 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/cost_model.h"
 #include "core/moments_estimator.h"
 #include "core/plan_metrics.h"
 #include "core/provisioning.h"
 #include "obs/span.h"
+#include "util/validation.h"
 
 namespace shuffledef::core {
 
@@ -25,9 +27,6 @@ std::vector<std::string> ControllerConfig::violations(
   if (replicas < 0) {
     out.push_back(prefix + "replicas must be >= 0 (0 = adaptive)");
   }
-  if (min_replicas < 2) {
-    out.push_back(prefix + "min_replicas must be >= 2 (P < 2 cannot shuffle)");
-  }
   if (!(provisioning_headroom >= 1.0)) {
     out.push_back(prefix + "provisioning_headroom must be >= 1");
   }
@@ -38,30 +37,17 @@ std::vector<std::string> ControllerConfig::violations(
   if (!(estimate_smoothing > 0.0) || estimate_smoothing > 1.0) {
     out.push_back(prefix + "estimate_smoothing must be in (0, 1]");
   }
-  if (mle.grid_points < 2) {
-    out.push_back(prefix + "mle.grid_points must be >= 2");
-  }
   if (!(migration_cost_weight >= 0.0)) {
     out.push_back(prefix + "migration_cost_weight must be >= 0");
   }
   if (!(min_expected_net_save >= 0.0)) {
     out.push_back(prefix + "min_expected_net_save must be >= 0");
   }
-  if (migration_page_bytes < 0) {
-    out.push_back(prefix + "migration_page_bytes must be >= 0");
-  }
-  const auto rate_violations = cost_rates.violations(prefix + "cost_rates.");
-  out.insert(out.end(), rate_violations.begin(), rate_violations.end());
   return out;
 }
 
 void ControllerConfig::validate() const {
-  if (const auto violations = this->violations(); !violations.empty()) {
-    std::string message = "ControllerConfig: " +
-                          std::to_string(violations.size()) + " violation(s)";
-    for (const auto& v : violations) message += "; " + v;
-    throw std::invalid_argument(message);
-  }
+  util::throw_if_invalid("ControllerConfig", violations());
 }
 
 ShuffleController::ShuffleController(ControllerConfig config)
@@ -119,11 +105,10 @@ RoundDecision ShuffleController::decide(
 
   Count p = config_.replicas;
   if (p == 0) {
-    const Count needed = min_replicas_for_estimation(m_hat, config_.min_replicas);
+    const Count needed = min_replicas_for_estimation(m_hat);
     p = std::max<Count>(
-        config_.min_replicas,
-        static_cast<Count>(std::llround(static_cast<double>(needed) *
-                                        config_.provisioning_headroom)));
+        2, static_cast<Count>(std::llround(static_cast<double>(needed) *
+                                           config_.provisioning_headroom)));
   }
 
   RoundDecision decision;
@@ -133,10 +118,7 @@ RoundDecision ShuffleController::decide(
       .clients = pool_clients, .bots = m_hat, .replicas = p};
   const obs::Span plan_span(config_.registry, "plan");
   if (cache_) {
-    // The fingerprint keeps differently-configured planners of the same
-    // kind (e.g. exact vs tail-truncated algorithm1) from sharing entries.
-    const PlannerCacheKey key{planner_->name(), problem,
-                              planner_->options_fingerprint()};
+    const PlannerCacheKey key{planner_->name(), problem};
     if (auto cached = cache_->get_plan(key)) {
       cache_hits_.inc();
       decision.plan = std::move(*cached);
@@ -155,9 +137,8 @@ RoundDecision ShuffleController::decide(
                           config_.min_expected_net_save > 0.0;
   if (cost_aware) {
     decision.expected_saved = saved_count_moments(problem, decision.plan).mean;
-    decision.shuffle_cost_usd =
-        shuffle_round_cost_usd(config_.cost_rates, p, pool_clients,
-                               config_.migration_page_bytes);
+    decision.shuffle_cost_usd = shuffle_round_cost_usd(
+        CostRates{}, p, pool_clients, kMigrationPageBytes);
     decision.expected_net_save =
         decision.expected_saved -
         config_.migration_cost_weight * decision.shuffle_cost_usd;

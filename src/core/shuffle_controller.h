@@ -13,13 +13,13 @@
 // the exact same brain.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/cost_model.h"
 #include "core/estimator.h"
 #include "core/mle_estimator.h"
 #include "core/plan.h"
@@ -47,10 +47,8 @@ struct ControllerConfig {
   /// 1 = serial, 0 = shared pool, k > 1 = private pool.  Results are
   /// bit-identical at any setting (tests/cloudsim/fault_determinism_test).
   Count planner_threads = 0;
-  /// Fixed shuffling-replica count; 0 = adapt P per Theorem 1.
+  /// Fixed shuffling-replica count; 0 = adapt P per Theorem 1 (at least 2).
   Count replicas = 0;
-  /// Lower bound on adaptive P.
-  Count min_replicas = 2;
   /// Head-room multiplier on the adaptive Theorem-1 minimum.
   double provisioning_headroom = 1.0;
   /// Estimate M from each round's observation (otherwise the injected
@@ -68,20 +66,17 @@ struct ControllerConfig {
   /// uncached ones.
   std::size_t planner_cache_capacity = 128;
   /// --- Cost-aware objective (Zhou et al., arXiv:1903.10102) ---
-  /// Weight converting the USD churn of a shuffle round into the plan's
-  /// saved-clients unit: net = E[S] - weight * shuffle_round_cost_usd.
-  /// 0 (default) = cost-blind — the economics are not even computed and
-  /// every decision executes, the legacy behaviour.
+  /// Weight converting the USD churn of a shuffle round, priced at the
+  /// default CostRates, into the plan's saved-clients unit:
+  /// net = E[S] - weight * shuffle_round_cost_usd.  0 (default) =
+  /// cost-blind — the economics are not even computed and every decision
+  /// executes, the legacy behaviour.
   double migration_cost_weight = 0.0;
   /// Decline threshold: a decision whose expected net save falls below this
   /// is marked execute = false (the engine skips the shuffle and keeps the
   /// current placement).  0 (default) = never decline — shuffles are forced
   /// even when the priced net is negative.
   double min_expected_net_save = 0.0;
-  /// Price book for the cost-aware objective.
-  CostRates cost_rates;
-  /// Bytes a migrated client re-fetches after a shuffle (egress churn).
-  std::int64_t migration_page_bytes = 64 * 1024;
   /// Observability sink for the controller, its planner and its estimator
   /// (nullptr = uninstrumented).  Counters kMetricControllerDecisions,
   /// kMetricPlannerCache{Hits,Misses} and kMetricControllerShufflesDeclined;
@@ -114,6 +109,10 @@ struct RoundDecision {
 
 class ShuffleController {
  public:
+  /// Bytes a migrated client re-fetches after a shuffle (egress churn), as
+  /// the cost-aware objective prices it.
+  static constexpr std::int64_t kMigrationPageBytes = 64 * 1024;
+
   explicit ShuffleController(ControllerConfig config);
 
   /// Decide the plan for the next shuffle.  `pool_clients` is the number of

@@ -134,9 +134,4 @@ MetricsSnapshot Registry::snapshot() const {
   return snap;
 }
 
-Registry& global_registry() {
-  static Registry registry;
-  return registry;
-}
-
 }  // namespace shuffledef::obs

@@ -21,8 +21,7 @@
 // strips them.
 //
 // Scoping: registries are plain objects — create one per simulation for
-// isolated, reproducible snapshots.  `global_registry()` offers a
-// process-wide default for code without a natural owner.
+// isolated, reproducible snapshots.
 #pragma once
 
 #include <atomic>
@@ -166,8 +165,5 @@ class Registry {
       histograms_;
   detail::SpanNode span_root_;
 };
-
-/// Process-wide default registry for code without a natural instance scope.
-[[nodiscard]] Registry& global_registry();
 
 }  // namespace shuffledef::obs

@@ -1,7 +1,8 @@
 #include "sim/arrival.h"
 
 #include <algorithm>
-#include <stdexcept>
+
+#include "util/validation.h"
 
 namespace shuffledef::sim {
 
@@ -18,12 +19,7 @@ std::vector<std::string> ArrivalConfig::violations(
 }
 
 void ArrivalConfig::validate() const {
-  if (const auto violations = this->violations(); !violations.empty()) {
-    std::string message = "ArrivalConfig: " +
-                          std::to_string(violations.size()) + " violation(s)";
-    for (const auto& v : violations) message += "; " + v;
-    throw std::invalid_argument(message);
-  }
+  util::throw_if_invalid("ArrivalConfig", violations());
 }
 
 ArrivalProcess::ArrivalProcess(ArrivalConfig config, util::Rng rng)

@@ -11,6 +11,7 @@
 #include "obs/registry.h"
 #include "obs/span.h"
 #include "util/thread_pool.h"
+#include "util/validation.h"
 
 namespace shuffledef::sim {
 namespace {
@@ -155,12 +156,7 @@ std::vector<std::string> ClientSimConfig::violations(
 }
 
 void ClientSimConfig::validate() const {
-  if (const auto violations = this->violations(); !violations.empty()) {
-    std::string message = "ClientSimConfig: " +
-                          std::to_string(violations.size()) + " violation(s)";
-    for (const auto& v : violations) message += "; " + v;
-    throw std::invalid_argument(message);
-  }
+  util::throw_if_invalid("ClientSimConfig", violations());
 }
 
 double ClientSimResult::final_safe_fraction() const {

@@ -4,11 +4,11 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <stdexcept>
 #include <utility>
 
 #include "obs/registry.h"
 #include "obs/span.h"
+#include "util/validation.h"
 
 namespace shuffledef::sim {
 namespace {
@@ -73,9 +73,6 @@ std::vector<std::string> ShuffleSimConfig::validate() const {
   if (!(oracle_bias >= 0.0)) {
     violations.push_back("oracle_bias must be >= 0");
   }
-  if (initial_bot_estimate < 0) {
-    violations.push_back("initial_bot_estimate must be >= 0");
-  }
   if (!(target_fraction > 0.0) || target_fraction > 1.0) {
     violations.push_back("target_fraction must be in (0, 1]");
   }
@@ -90,12 +87,7 @@ std::vector<std::string> ShuffleSimConfig::validate() const {
 
 ShuffleSimulator::ShuffleSimulator(ShuffleSimConfig config)
     : config_(std::move(config)) {
-  if (const auto violations = config_.validate(); !violations.empty()) {
-    std::string message = "ShuffleSimConfig: " +
-                          std::to_string(violations.size()) + " violation(s)";
-    for (const auto& v : violations) message += "; " + v;
-    throw std::invalid_argument(message);
-  }
+  util::throw_if_invalid("ShuffleSimConfig", config_.validate());
 }
 
 ShuffleSimResult ShuffleSimulator::run() {
@@ -170,10 +162,9 @@ ShuffleSimResult ShuffleSimulator::run() {
       controller.set_bot_estimate(
           std::clamp<Count>(static_cast<Count>(std::llround(biased)), 0, pool));
     } else if (!prev_obs.has_value()) {
-      const Count seed_estimate = config_.initial_bot_estimate > 0
-                                      ? config_.initial_bot_estimate
-                                      : std::max<Count>(1, pool / 10);
-      controller.set_bot_estimate(std::min(seed_estimate, pool));
+      // No observation yet: seed the estimate with a tenth of the pool.
+      controller.set_bot_estimate(
+          std::min(std::max<Count>(1, pool / 10), pool));
     }
 
     const auto decision = controller.decide(pool, prev_obs);

@@ -66,9 +66,6 @@ struct ShuffleSimConfig {
   /// When use_mle is off, the controller is fed the true bot-pool size each
   /// round (oracle mode) scaled by this factor (sensitivity ablations).
   double oracle_bias = 1.0;
-  /// Seed for the controller's first-round estimate (no observation exists
-  /// yet); 0 = use one tenth of the pool.
-  Count initial_bot_estimate = 0;
   /// Stop once this fraction of the total benign population is saved.
   double target_fraction = 0.95;
   Count max_rounds = 5000;

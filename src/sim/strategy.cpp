@@ -1,7 +1,8 @@
 #include "sim/strategy.h"
 
 #include <algorithm>
-#include <stdexcept>
+
+#include "util/validation.h"
 
 namespace shuffledef::sim {
 
@@ -25,12 +26,7 @@ std::vector<std::string> StrategyParams::violations(
 }
 
 void StrategyParams::validate() const {
-  if (const auto violations = this->violations(); !violations.empty()) {
-    std::string message = "StrategyParams: " +
-                          std::to_string(violations.size()) + " violation(s)";
-    for (const auto& v : violations) message += "; " + v;
-    throw std::invalid_argument(message);
-  }
+  util::throw_if_invalid("StrategyParams", violations());
 }
 
 }  // namespace shuffledef::sim

@@ -10,11 +10,6 @@ namespace shuffledef::util {
 
 Table::Table(std::string caption) : caption_(std::move(caption)) {}
 
-Table& Table::set_caption(std::string caption) {
-  caption_ = std::move(caption);
-  return *this;
-}
-
 Table& Table::set_headers(std::vector<std::string> headers) {
   headers_ = std::move(headers);
   return *this;

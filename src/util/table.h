@@ -16,7 +16,6 @@ class Table {
  public:
   explicit Table(std::string caption = {});
 
-  Table& set_caption(std::string caption);
   Table& set_headers(std::vector<std::string> headers);
 
   /// Append one row; the cell count must match the header count (checked at

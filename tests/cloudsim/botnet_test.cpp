@@ -24,7 +24,7 @@ struct Rig {
     replica = world.spawn<ReplicaServer>(nic(), "r1", ReplicaConfig{});
     dns->register_load_balancer("svc", lb->id());
     lb->add_replica(replica->id());
-    botmaster = world.spawn<Botmaster>(nic(), "botmaster", BotmasterConfig{});
+    botmaster = world.spawn<Botmaster>(nic(), "botmaster");
   }
   /// One persistent bot joining now: a one-bot swarm reporting to the
   /// botmaster.

@@ -60,27 +60,6 @@ TEST(FaultDeterminism, PlannerThreadCountDoesNotPerturbTheWorld) {
   expect_identical(serial, pooled);
 }
 
-ScenarioConfig faulted_qos_config() {
-  // The closed QoS loop layered on top of the fault battery: replica crash,
-  // lossy/duplicating control lane, delayed and failing provisioning.  The
-  // phase trace is part of the determinism contract, so it must replay
-  // bit-identically through all of it.
-  auto cfg = faulted_config();
-  cfg.qos.enabled = true;
-  cfg.qos.report_interval_s = 0.25;
-  cfg.qos.overload_latency_s = 0.2;
-  cfg.qos.overload_queue_s = 0.5;
-  cfg.qos.start_fraction = 0.25;
-  cfg.qos.stop_fraction = 0.1;
-  cfg.qos.hysteresis_s = 1.0;
-  cfg.qos.max_concurrent_remaps = 2;
-  cfg.qos.max_autoscale_replicas = 8;
-  // Computational load so the latency EWMA actually moves under faults.
-  cfg.bot_heavy_interval_s = 0.05;
-  cfg.bot_heavy_cpu_seconds = 0.1;
-  return cfg;
-}
-
 void expect_same_phase_trace(Scenario& a, Scenario& b) {
   const auto& pa = a.coordinator()->phase_transitions();
   const auto& pb = b.coordinator()->phase_transitions();

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <optional>
 #include <tuple>
 
@@ -91,10 +92,11 @@ std::uint64_t delivered_digest(const std::vector<NetTraceEvent>& trace) {
 // it became the only client engine.  Drop fates are sealed lazily, so only
 // deliveries are pinned: a tail arrival may still be in flight at the
 // horizon where an eager engine already counted its drop.  `observe`
-// installs a MemberLog first.
-void expect_recorded_deliveries(ScenarioConfig cfg, double horizon_s,
-                                std::uint64_t delivered, std::int64_t bytes,
-                                std::uint64_t digest, bool observe = false) {
+// installs a MemberLog first; `inspect`, when set, sees the finished world.
+void expect_recorded_deliveries(
+    ScenarioConfig cfg, double horizon_s, std::uint64_t delivered,
+    std::int64_t bytes, std::uint64_t digest, bool observe = false,
+    const std::function<void(Scenario&)>& inspect = {}) {
   cfg.record_net_trace = true;
   Scenario s(cfg);
   std::optional<MemberLog> log;
@@ -109,6 +111,7 @@ void expect_recorded_deliveries(ScenarioConfig cfg, double horizon_s,
   EXPECT_EQ(delivered_digest(net.trace()), digest);
   EXPECT_TRUE(net.stats().conserved());
   EXPECT_GT(s.coordinator()->stats().clients_migrated, 0);
+  if (inspect) inspect(s);
 }
 
 TEST(SwarmEquivalence, BatchDeliveryIsTraceInvisible) {
@@ -134,6 +137,24 @@ TEST(SwarmEquivalence, FaultedWorldDeliversLikeTheLegacyEngine) {
   // Lossy and duplicating lanes, failing provisioning and a replica crash.
   expect_recorded_deliveries(faulted_config(), 20.0, 3455, 10631056,
                              0x6886163F131F7B55ULL);
+}
+
+TEST(SwarmEquivalence, FaultedQosWorldDeliversAsRecorded) {
+  // The fault battery under the closed QoS loop: the world that drives the
+  // coordinator's provisioning backoff and command re-sends and the
+  // network's duplicate delay.  Recorded before those timings became
+  // constants, so a constant that drifts from its old default moves it.
+  expect_recorded_deliveries(
+      faulted_qos_config(), 20.0, 15037, 27047928, 0x92D23741DB325FA2ULL,
+      /*observe=*/false, [](Scenario& s) {
+        // The digest covers those paths only while the run takes them.
+        const auto& coord = s.coordinator()->stats();
+        EXPECT_GT(coord.provision_retries, 0);
+        EXPECT_GT(coord.command_retries, 0);
+        EXPECT_GT(coord.phase_switches, 0);
+        EXPECT_GT(s.fault_stats().duplicated, 0u);
+        EXPECT_EQ(s.fault_stats().crashes_executed, 1u);
+      });
 }
 
 TEST(SwarmObserver, LeavesTheFaultedWorldDigestBitIdentical) {
@@ -181,7 +202,7 @@ TEST(SwarmObserver, OneMemberEventsMatchSwarmStats) {
     // sweep quantum that noticed it.
     EXPECT_GE(e.duration(), cfg.client_request_timeout_s - 1e-9);
     EXPECT_LE(e.duration(),
-              cfg.client_request_timeout_s + cfg.swarm_sweep_dt_s + 1e-9);
+              cfg.client_request_timeout_s + ClientSwarm::kSweepDtS + 1e-9);
   }
 }
 

@@ -156,15 +156,6 @@ TEST(MleEstimator, GaussianEngineTracksTruthAtScale) {
   EXPECT_NEAR(sum / reps, 300.0, 45.0);
 }
 
-TEST(OracleEstimator, ReturnsTruthWithBias) {
-  const AssignmentPlan plan({10, 10});
-  const ShuffleObservation obs{plan, {true, false}};
-  EXPECT_EQ(OracleEstimator(7).estimate(obs), 7);
-  EXPECT_EQ(OracleEstimator(10, 1.5).estimate(obs), 15);
-  EXPECT_EQ(OracleEstimator(100, 1.0).estimate(obs), 20);  // clamped to pool
-  EXPECT_EQ(OracleEstimator(4, 0.5).estimate(obs), 2);
-}
-
 struct RecoveryCase {
   Count replicas, per_replica, bots;
 };

@@ -94,7 +94,6 @@ TEST(PlannerCache, DistinguishesPlannerKindAndOptions) {
   const ShuffleProblem problem{10, 2, 3};
   cache.put_value({"greedy", problem}, 1.0);
   EXPECT_FALSE(cache.get_value({"dp", problem}).has_value());
-  EXPECT_FALSE(cache.get_value({"greedy", problem, 42}).has_value());
   EXPECT_TRUE(cache.get_value({"greedy", problem}).has_value());
 }
 

@@ -9,9 +9,6 @@ namespace shuffledef::core {
 namespace {
 
 TEST(ControllerConfig, Validation) {
-  ControllerConfig bad;
-  bad.min_replicas = 1;
-  EXPECT_THROW(ShuffleController{bad}, std::invalid_argument);
   ControllerConfig bad2;
   bad2.provisioning_headroom = 0.5;
   EXPECT_THROW(ShuffleController{bad2}, std::invalid_argument);
@@ -28,13 +25,11 @@ TEST(ControllerConfig, ValidateReportsAllViolationsAtOnce) {
   ControllerConfig bad;
   bad.planner = "bogus";
   bad.planner_threads = -1;
-  bad.min_replicas = 1;  // P < 2 cannot shuffle
   bad.provisioning_headroom = 0.5;
   bad.estimator = "psychic";
   bad.estimate_smoothing = 0.0;
-  bad.mle.grid_points = 1;
   const auto violations = bad.violations();
-  EXPECT_EQ(violations.size(), 7u);
+  EXPECT_EQ(violations.size(), 5u);
 
   // The constructor reports every violation in one message.
   try {
@@ -42,8 +37,8 @@ TEST(ControllerConfig, ValidateReportsAllViolationsAtOnce) {
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("7 violation(s)"), std::string::npos) << what;
-    EXPECT_NE(what.find("min_replicas"), std::string::npos);
+    EXPECT_NE(what.find("5 violation(s)"), std::string::npos) << what;
+    EXPECT_NE(what.find("provisioning_headroom"), std::string::npos);
     EXPECT_NE(what.find("planner_threads"), std::string::npos);
   }
 }
@@ -127,20 +122,9 @@ TEST(ShuffleController, NegativePoolRejected) {
   EXPECT_THROW(controller.decide(-1, std::nullopt), std::invalid_argument);
 }
 
-TEST(ShuffleController, CacheKeysIncludeOptionsFingerprint) {
-  // Two caches, two controllers whose algorithm1 planners differ only in a
-  // value-affecting option: decide() must key its planner cache on the
-  // options fingerprint so the two configurations can never alias (a plan
-  // computed under tail truncation is not a valid cache entry for the
-  // exact planner, even at the same (N, M, P)).
-  PlannerCacheKey exact{"algorithm1", ShuffleProblem{100, 5, 4}, 0};
-  PlannerCacheKey truncated = exact;
-  truncated.options_fingerprint = 1;
-  PlannerCache cache(8);
-  cache.put_plan(exact, AssignmentPlan(std::vector<Count>{25, 25, 25, 25}));
-  EXPECT_TRUE(cache.get_plan(exact).has_value());
-  EXPECT_FALSE(cache.get_plan(truncated).has_value());
-
+TEST(ShuffleController, RepeatedDecisionsHitThePlannerCache) {
+  // The same (N, M, P) decided twice: the second plan comes from the
+  // controller's own cache and equals the first.
   ControllerConfig config;
   config.planner = "algorithm1";
   config.replicas = 4;

@@ -127,12 +127,6 @@ TEST(Registry, ConcurrentIncrementsAreExact) {
             static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
-TEST(Registry, GlobalRegistryIsAProcessWideSingleton) {
-  Registry& a = global_registry();
-  Registry& b = global_registry();
-  EXPECT_EQ(&a, &b);
-}
-
 TEST(Export, CsvAndJsonCoverEverySection) {
   Registry registry;
   registry.counter("c").inc(7);

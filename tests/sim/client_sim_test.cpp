@@ -227,5 +227,47 @@ TEST(ClientSim, AuditedRunAcceptsEveryStrategy) {
   }
 }
 
+TEST(Strategy, SynchronizedWavesAlternateDeterministically) {
+  core::StrategyOptions options;
+  options.wave_period = 4;
+  options.wave_duty = 0.5;
+  const auto strategy = core::make_strategy("synchronized-waves", options);
+  util::Rng rng(1);
+  core::BotState a(rng.fork_small(1));
+  core::BotState b(rng.fork_small(2));
+  // Both bots share the phase (round counters align): attack on rounds
+  // 0,1 of every 4, idle on 2,3 — identically.
+  const core::StrategyContext ctx{};
+  std::vector<bool> pattern_a, pattern_b;
+  for (int r = 0; r < 12; ++r) {
+    pattern_a.push_back(strategy->decide_one(ctx, a));
+    pattern_b.push_back(strategy->decide_one(ctx, b));
+  }
+  EXPECT_EQ(pattern_a, pattern_b);
+  EXPECT_EQ(pattern_a, (std::vector<bool>{true, true, false, false, true, true,
+                                          false, false, true, true, false,
+                                          false}));
+}
+
+TEST(Strategy, SynchronizedWavesStillLoseToTheDefense) {
+  ClientSimConfig cfg;
+  cfg.benign = 400;
+  cfg.bots = 20;
+  cfg.strategy.strategy = "synchronized-waves";
+  cfg.strategy.options.wave_period = 6;
+  cfg.strategy.options.wave_duty = 0.5;
+  cfg.controller.planner = "greedy";
+  cfg.controller.replicas = 40;
+  cfg.controller.use_mle = false;
+  cfg.rounds = 100;
+  cfg.seed = 9;
+  const auto result = ClientLevelSimulator(cfg).run();
+  EXPECT_GT(result.final_safe_fraction(), 0.85);
+  // The waves deliver only ~the duty cycle of an always-on attack, averaged
+  // over the whole run (empty-pool lulls included — they are part of what
+  // the defense buys).
+  EXPECT_LT(result.mean_attack_intensity_all_rounds(), 0.7 * 20.0);
+}
+
 }  // namespace
 }  // namespace shuffledef::sim
