@@ -30,6 +30,9 @@ std::vector<std::string> ScenarioConfig::validate() const {
     }
   };
   if (domains < 1) violations.push_back("domains must be >= 1");
+  if (load_balancers_per_domain < 1) {
+    violations.push_back("load_balancers_per_domain must be >= 1");
+  }
   if (initial_replicas < 1) {
     violations.push_back("initial_replicas must be >= 1");
   }
@@ -150,10 +153,8 @@ Scenario::Scenario(ScenarioConfig config) {
   coordinator_ = world_->spawn<CoordinationServer>(config.infra_nic,
                                                    "coordinator",
                                                    config.coordinator);
-  const std::int32_t lbs_per_domain =
-      std::max<std::int32_t>(1, config.load_balancers_per_domain);
   for (std::int32_t d = 0; d < config.domains; ++d) {
-    for (std::int32_t i = 0; i < lbs_per_domain; ++i) {
+    for (std::int32_t i = 0; i < config.load_balancers_per_domain; ++i) {
       NicConfig nic = config.lb_nic;
       nic.domain = d;
       auto* lb = world_->spawn<LoadBalancer>(

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <functional>
-#include <numeric>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -41,97 +42,63 @@ std::size_t chunk_slots(std::int64_t n) {
       1, (n + kGrain - 1) / kGrain));
 }
 
+// A pool member or a saved-group slot: 0 for every benign client, b + 1 for
+// bot b.  No benign client carries state, so the store keeps no identity for
+// one; Rng::shuffle's draws depend only on the pool's length, so a token pool
+// puts every bot exactly where a pool of client ids would.
+using Token = std::int32_t;
+
 // The engine's whole mutable state: flat SoA columns plus the round scratch
 // buffers, all reused across rounds (no per-round allocation churn).
 struct SoaState {
-  // Static client column: bot index per client id, -1 = benign.
-  std::vector<Count> bot_index;
-
   // Per-bot columns (indexed by bot id).
   std::vector<core::BotState> bot_states;
   std::vector<std::uint8_t> bot_present;  // in pool or in a saved group
 
-  // Activity column indexed by client id: benign + bots bytes, bot b at
-  // benign + b.  Benign entries are never written and stay 0, so the bucket
-  // scan reads it for every pool member without asking whether the member
-  // is a bot.
-  std::vector<std::uint8_t> active;
+  // Activity column indexed by token: bots + 1 bytes, bot b at b + 1.  The
+  // benign entry act[0] is never written and stays 0, so the bucket scan
+  // reads it for every pool member without asking whether the member is a
+  // bot.
+  std::vector<std::uint8_t> act;
 
-  // Shuffling pool.  Client ids are assigned once — benign clients take
-  // 0..benign-1, bots the tail range — and never change, so the hot sweeps
-  // classify an id with one compare (`id >= benign` <=> bot, bot index
-  // `id - benign`) instead of a random-access `bot_index` gather.  The
-  // `bot_index` column stays the ground truth (step 1, audit).
-  std::vector<Count> pool_ids;
+  std::vector<Token> pool;   // the shuffling pool
   Count pool_bot_count = 0;  // running count of bots in the pool
 
-  // Saved groups: immutable member/bot slices of flat arenas, records kept
-  // in creation order (re-pollution appends to the pool in that order, so
-  // the order is part of the behavior contract).  Bots only ever quit from
-  // the shuffling pool — saved groups never shuffle — so a group's slices
-  // never grow after creation; re-polluted groups become dead arena space
-  // that is compacted away once it outweighs the live data.
-  struct Group {
-    Count mbegin = 0, msize = 0;  // member_arena slice (client ids)
-    Count bbegin = 0, bsize = 0;  // bot_arena slice (bot ids)
-    bool alive = true;
+  // Saved groups that still hold a bot, in creation order (re-pollution
+  // appends to the pool in that order, so the order is part of the behavior
+  // contract).  A group is its size plus its bots' slots ({offset in the
+  // group, token}, offsets ascending); the groups' slot slices lie back to
+  // back in `slots`, in group order.  Saved groups never shuffle, so a group
+  // never changes after creation.  A clean bucket without a bot can never be
+  // re-polluted: it only adds to the saved totals and is not kept.
+  struct Slot {
+    Token offset = 0;
+    Token token = 0;
   };
-  std::vector<Count> member_arena;
-  std::vector<Count> bot_arena;
+  struct Group {
+    Token size = 0;
+    Token bots = 0;  // length of the group's slot slice
+  };
   std::vector<Group> groups;
-  // The alive groups whose bot slice is non-empty, in ascending group index
-  // (= creation order).  Only these can be re-polluted, so re-pollution
-  // walks this list instead of every group record.
-  std::vector<Count> armed;
-  Count arena_live = 0;    // live member entries == clients in saved groups
-  Count saved_benign = 0;  // benign clients in live groups (O(1) safety)
+  std::vector<Slot> slots;
+  Count saved_clients = 0;  // clients in saved groups, kept or not
+  Count saved_benign = 0;   // benign clients in saved groups (O(1) safety)
 
   // Away bots (quit-reenter).  List order matters: returning bots rejoin
   // the pool in list order.  The recorded location is always the pool (the
-  // only place a bot can observe a shuffle), so no group id is stored.
+  // only place a bot can observe a shuffle), so no group is stored.
   struct AwayRec {
-    Count id = 0;
+    Token token = 0;
     Count rounds_left = 0;
   };
   std::vector<AwayRec> away;
 
   // Round scratch.
   std::vector<Count> active_partials;
-  std::vector<std::uint8_t> armed_hit;  // per armed entry: a bot woke up
   std::vector<Count> offsets;  // bucket prefix offsets (P + 1)
   std::vector<std::uint8_t> bucket_attacked;
   std::vector<Count> bucket_bots;
-  std::vector<Count> next_off, grp_m_off, grp_b_off;
-  std::vector<Count> next_ids;
-  std::vector<Count> stay_ids;
   std::vector<Count> away_buf;  // on_shuffled_one results (kStays = stays)
-
-  void compact_arenas() {
-    const auto dead =
-        static_cast<Count>(member_arena.size()) - arena_live;
-    if (dead <= std::max<Count>(arena_live, Count{1} << 16)) return;
-    std::vector<Count> new_members;
-    new_members.reserve(static_cast<std::size_t>(arena_live));
-    std::vector<Count> new_bots;
-    std::vector<Group> new_groups;
-    armed.clear();
-    for (const Group& g : groups) {
-      if (!g.alive) continue;
-      if (g.bsize > 0) armed.push_back(static_cast<Count>(new_groups.size()));
-      Group moved = g;
-      moved.mbegin = static_cast<Count>(new_members.size());
-      new_members.insert(new_members.end(),
-                         member_arena.begin() + g.mbegin,
-                         member_arena.begin() + g.mbegin + g.msize);
-      moved.bbegin = static_cast<Count>(new_bots.size());
-      new_bots.insert(new_bots.end(), bot_arena.begin() + g.bbegin,
-                      bot_arena.begin() + g.bbegin + g.bsize);
-      new_groups.push_back(moved);
-    }
-    member_arena.swap(new_members);
-    bot_arena.swap(new_bots);
-    groups.swap(new_groups);
-  }
 };
 
 }  // namespace
@@ -141,6 +108,11 @@ std::vector<std::string> ClientSimConfig::violations(
   std::vector<std::string> out;
   if (benign < 0) out.push_back(prefix + "benign must be >= 0");
   if (bots < 0) out.push_back(prefix + "bots must be >= 0");
+  constexpr Count kMaxClients = std::numeric_limits<Token>::max();
+  if (benign >= 0 && bots >= 0 && benign > kMaxClients - bots) {
+    out.push_back(prefix + "benign + bots must be <= " +
+                  std::to_string(kMaxClients) + " (32-bit client tokens)");
+  }
   if (rounds <= 0) out.push_back(prefix + "rounds must be > 0");
   if (threads < 0) {
     out.push_back(prefix +
@@ -203,123 +175,94 @@ util::ThreadPool* ClientLevelSimulator::pool() const {
 
 namespace {
 
-// End-of-round conservation audit (ClientSimConfig::audit): every client id
-// sits in exactly one of {pool, saved group, away}, naive-dropped bots in
-// none, the engine's running totals match a full recount, the armed list is
-// exactly the alive groups holding a bot in ascending order, and no benign
-// entry of the activity column was ever written.
+// End-of-round conservation audit (ClientSimConfig::audit), O(pool + bots):
+// every bot sits in exactly one of {pool, kept saved group, away} (naive bots
+// in none), the benign clients in the pool and in saved groups add up to
+// `benign`, every kept group holds at least one slot with offsets strictly
+// ascending inside the group, the running totals match a recount,
+// `bot_present` says exactly "in the pool or in a group", and the benign
+// entry of the activity column was never written.
 void audit_round(const ClientSimConfig& cfg, const SoaState& s, Count round) {
-  const Count n_total = cfg.benign + cfg.bots;
   const bool naive = cfg.strategy.strategy == "naive";
   const auto fail = [&](const std::string& what) {
     throw std::logic_error("ClientLevelSimulator audit (round " +
                            std::to_string(round) + "): " + what);
   };
+  const auto bots = static_cast<std::size_t>(cfg.bots);
 
-  std::vector<std::uint8_t> seen(static_cast<std::size_t>(n_total), 0);
-  const auto mark = [&](Count id, const char* where) {
-    if (id < 0 || id >= n_total) fail(std::string("bad id in ") + where);
-    if (seen[static_cast<std::size_t>(id)]++ != 0) {
-      fail("client " + std::to_string(id) + " appears twice (last: " + where +
+  // Per token: how often the bot was seen, and whether it is away.
+  std::vector<std::uint8_t> seen(bots + 1, 0);
+  std::vector<std::uint8_t> in_away(bots + 1, 0);
+  const auto mark = [&](Token t, const char* where) {
+    if (t < 1 || static_cast<std::size_t>(t) > bots) {
+      fail(std::string("bad bot token in ") + where);
+    }
+    if (seen[static_cast<std::size_t>(t)]++ != 0) {
+      fail("bot " + std::to_string(t - 1) + " appears twice (last: " + where +
            ")");
     }
   };
 
-  Count pool_bots_recount = 0;
-  for (const Count id : s.pool_ids) {
-    mark(id, "pool");
-    if (s.bot_index[static_cast<std::size_t>(id)] >= 0) ++pool_bots_recount;
+  if (s.act[0] != 0) fail("the benign activity entry act[0] is set");
+
+  Count pool_benign = 0, pool_bots = 0;
+  for (const Token t : s.pool) {
+    if (t == 0) {
+      ++pool_benign;
+      continue;
+    }
+    mark(t, "pool");
+    ++pool_bots;
   }
-  if (pool_bots_recount != s.pool_bot_count) {
+  if (pool_bots != s.pool_bot_count) {
     fail("pool_bot_count " + std::to_string(s.pool_bot_count) +
-         " != recount " + std::to_string(pool_bots_recount));
+         " != recount " + std::to_string(pool_bots));
+  }
+  if (pool_benign + s.saved_benign != cfg.benign) {
+    fail("pool benign " + std::to_string(pool_benign) + " + saved_benign " +
+         std::to_string(s.saved_benign) + " != benign " +
+         std::to_string(cfg.benign));
   }
 
-  Count prev_armed = -1;
-  for (const Count g : s.armed) {
-    if (g <= prev_armed || g >= static_cast<Count>(s.groups.size())) {
-      fail("armed list not strictly ascending group indices");
-    }
-    const auto& grp = s.groups[static_cast<std::size_t>(g)];
-    if (!grp.alive || grp.bsize == 0) {
-      fail("armed group " + std::to_string(g) + " is dead or holds no bot");
-    }
-    prev_armed = g;
-  }
-
-  Count members = 0, benign_saved = 0, armable = 0;
+  std::size_t slot = 0;
   for (const auto& g : s.groups) {
-    if (!g.alive) continue;
-    if (g.bsize > 0) ++armable;
-    Count bots_in_members = 0;
-    for (Count k = g.mbegin; k < g.mbegin + g.msize; ++k) {
-      const Count id = s.member_arena[static_cast<std::size_t>(k)];
-      mark(id, "saved group");
-      if (s.bot_index[static_cast<std::size_t>(id)] >= 0) ++bots_in_members;
+    if (g.bots < 1) fail("a kept saved group holds no bot");
+    if (slot + static_cast<std::size_t>(g.bots) > s.slots.size()) {
+      fail("group slot slices overrun the slot array");
     }
-    if (bots_in_members != g.bsize) {
-      fail("group bot slice size disagrees with member recount");
-    }
-    for (Count k = g.bbegin; k < g.bbegin + g.bsize; ++k) {
-      const Count b = s.bot_arena[static_cast<std::size_t>(k)];
-      if (b < 0 || b >= cfg.bots) fail("bad bot id in group bot slice");
-    }
-    members += g.msize;
-    benign_saved += g.msize - g.bsize;
-  }
-  if (armable != static_cast<Count>(s.armed.size())) {
-    fail("armed list holds " + std::to_string(s.armed.size()) + " of " +
-         std::to_string(armable) + " alive groups with a bot");
-  }
-  for (Count id = 0; id < cfg.benign; ++id) {
-    if (s.active[static_cast<std::size_t>(id)] != 0) {
-      fail("benign client " + std::to_string(id) + " marked active");
-    }
-  }
-  if (members != s.arena_live) {
-    fail("arena_live " + std::to_string(s.arena_live) + " != recount " +
-         std::to_string(members));
-  }
-  if (benign_saved != s.saved_benign) {
-    fail("saved_benign " + std::to_string(s.saved_benign) + " != recount " +
-         std::to_string(benign_saved));
-  }
-
-  for (const auto& rec : s.away) {
-    mark(rec.id, "away");
-    if (s.bot_index[static_cast<std::size_t>(rec.id)] < 0) {
-      fail("benign client in the away list");
-    }
-  }
-
-  // Conservation: pool + saved + away covers every client except the
-  // naive-bot drop, each exactly once (uniqueness was checked by mark()).
-  const Count expected = n_total - (naive ? cfg.bots : 0);
-  const Count covered = static_cast<Count>(s.pool_ids.size()) + members +
-                        static_cast<Count>(s.away.size());
-  if (covered != expected) {
-    fail("conservation: pool + saved + away = " + std::to_string(covered) +
-         ", expected " + std::to_string(expected));
-  }
-  if (naive) {
-    for (Count b = 0; b < cfg.bots; ++b) {
-      if (seen[static_cast<std::size_t>(cfg.benign + b)] != 0) {
-        fail("naive bot " + std::to_string(b) + " re-entered the system");
+    Token prev = -1;
+    for (Token k = 0; k < g.bots; ++k, ++slot) {
+      const auto& sl = s.slots[slot];
+      if (sl.offset <= prev || sl.offset >= g.size) {
+        fail("slot offsets not strictly ascending within [0, size)");
       }
+      prev = sl.offset;
+      mark(sl.token, "saved group");
     }
   }
-  // bot_present must mean exactly "in the pool or in a saved group".
-  std::vector<std::uint8_t> in_away(static_cast<std::size_t>(cfg.bots), 0);
-  for (const auto& rec : s.away) {
-    in_away[static_cast<std::size_t>(
-        s.bot_index[static_cast<std::size_t>(rec.id)])] = 1;
+  if (slot != s.slots.size()) fail("slots that no kept group owns");
+  if (s.saved_clients != s.saved_benign + static_cast<Count>(slot)) {
+    fail("saved_clients " + std::to_string(s.saved_clients) +
+         " != saved_benign + bots in groups " +
+         std::to_string(s.saved_benign + static_cast<Count>(slot)));
   }
-  for (Count b = 0; b < cfg.bots; ++b) {
-    const bool present =
-        seen[static_cast<std::size_t>(cfg.benign + b)] != 0 &&
-        in_away[static_cast<std::size_t>(b)] == 0;
-    if (present != (s.bot_present[static_cast<std::size_t>(b)] != 0)) {
-      fail("bot_present[" + std::to_string(b) + "] disagrees with location");
+
+  for (const auto& rec : s.away) {
+    mark(rec.token, "away");
+    in_away[static_cast<std::size_t>(rec.token)] = 1;
+  }
+
+  for (std::size_t t = 1; t <= bots; ++t) {
+    if (naive && seen[t] != 0) {
+      fail("naive bot " + std::to_string(t - 1) + " re-entered the system");
+    }
+    if (!naive && seen[t] == 0) {
+      fail("bot " + std::to_string(t - 1) + " is nowhere");
+    }
+    const bool present = seen[t] != 0 && in_away[t] == 0;
+    if (present != (s.bot_present[t - 1] != 0)) {
+      fail("bot_present[" + std::to_string(t - 1) +
+           "] disagrees with location");
     }
   }
 }
@@ -334,7 +277,6 @@ ClientSimResult ClientLevelSimulator::run() {
 
   const Count n_benign = config_.benign;
   const Count n_bots = config_.bots;
-  const Count n_total = n_benign + n_bots;
   const std::unique_ptr<core::AttackerStrategy> strategy =
       config_.strategy.make();
   const bool naive = !strategy->follows_redirects();
@@ -363,33 +305,27 @@ ClientSimResult ClientLevelSimulator::run() {
 
   // ---- SoA client store -------------------------------------------------
   SoaState s;
-  s.bot_index.assign(static_cast<std::size_t>(n_total), -1);
   s.bot_states.reserve(static_cast<std::size_t>(n_bots));
   for (Count b = 0; b < n_bots; ++b) {
-    s.bot_index[static_cast<std::size_t>(n_benign + b)] = b;
     s.bot_states.emplace_back(
         behavior_rng.fork_small(static_cast<std::uint64_t>(b)));
   }
-  s.bot_present.assign(static_cast<std::size_t>(n_bots), 1);
-  s.active.assign(static_cast<std::size_t>(n_total), 0);
-  // The bot suffix of the activity column, indexed by bot id.
-  std::uint8_t* const bot_active = s.active.data() + n_benign;
+  s.bot_present.assign(static_cast<std::size_t>(n_bots), naive ? 0 : 1);
+  s.act.assign(static_cast<std::size_t>(n_bots) + 1, 0);
+  // The bot part of the activity column, indexed by bot id.
+  std::uint8_t* const bot_active = s.act.data() + 1;
+  // Every kept group holds a bot, so bots bound both group arrays.
+  s.groups.reserve(static_cast<std::size_t>(n_bots));
+  s.slots.reserve(static_cast<std::size_t>(n_bots));
 
-  // Nearly every client ends up in a saved-group arena slice; reserving up
-  // front avoids growth reallocations mid-run (the arenas only matter at
-  // scale, where the doubling copies are measurable).
-  s.member_arena.reserve(static_cast<std::size_t>(n_total));
-  s.bot_arena.reserve(static_cast<std::size_t>(n_bots));
-
-  // Pool starts as ids 0..N-1; bots occupy the tail ids, so the naive-bot
-  // drop is a truncation to the benign prefix.
-  s.pool_ids.resize(static_cast<std::size_t>(n_total));
-  std::iota(s.pool_ids.begin(), s.pool_ids.end(), Count{0});
-  s.pool_bot_count = n_bots;
-  if (naive) {
-    s.pool_ids.resize(static_cast<std::size_t>(n_benign));
-    s.pool_bot_count = 0;
-    s.bot_present.assign(static_cast<std::size_t>(n_bots), 0);
+  // The pool starts as every benign client, then bots 0..bots-1 (naive bots
+  // are dropped up front).  Conservation caps it at benign + bots, so it
+  // never reallocates.
+  s.pool.reserve(static_cast<std::size_t>(n_benign + n_bots));
+  s.pool.assign(static_cast<std::size_t>(n_benign), Token{0});
+  if (!naive) {
+    for (Count b = 0; b < n_bots; ++b) s.pool.push_back(static_cast<Token>(b + 1));
+    s.pool_bot_count = n_bots;
   }
 
   ClientSimResult result;
@@ -419,10 +355,9 @@ ClientSimResult ClientLevelSimulator::run() {
           s.away[keep++] = rec;
           continue;
         }
-        s.pool_ids.push_back(rec.id);
+        s.pool.push_back(rec.token);
         ++s.pool_bot_count;
-        s.bot_present[static_cast<std::size_t>(
-            s.bot_index[static_cast<std::size_t>(rec.id)])] = 1;
+        s.bot_present[static_cast<std::size_t>(rec.token - 1)] = 1;
       }
       s.away.resize(keep);
     }
@@ -430,31 +365,34 @@ ClientSimResult ClientLevelSimulator::run() {
     // 2. Activity pass: one sharded batched-decide sweep over the per-bot
     //    columns (each bot draws from its own stream, so chunk boundaries
     //    are irrelevant).  Exactly the present bots, in the pool or in a
-    //    saved group, are stepped.
-    //    Always-active strategies draw nothing and mutate nothing, so their
-    //    sweep degenerates to copying the present flags.
+    //    saved group, are stepped.  Always-active strategies draw nothing
+    //    and mutate nothing, so their sweep degenerates to copying the
+    //    present flags.  The column pointers and the flag are locals: the
+    //    byte stores could otherwise alias what the closure points at,
+    //    forcing a reload per bot.
     const core::StrategyContext ctx{round, current_replicas};
     Count active_total = 0;
     {
       s.active_partials.assign(chunk_slots(n_bots), 0);
       sweep(workers, n_bots, n_bots, kGrain,
             [&](std::int64_t lo, std::int64_t hi) {
+              const std::uint8_t* const present = s.bot_present.data();
+              std::uint8_t* const active = bot_active;
+              const bool all_on = always_active;
               const auto lo_s = static_cast<std::size_t>(lo);
               const auto len = static_cast<std::size_t>(hi - lo);
-              if (!always_active) {
+              if (!all_on) {
                 strategy->decide(ctx, {s.bot_states.data() + lo_s, len},
-                                 {s.bot_present.data() + lo_s, len},
-                                 {bot_active + lo_s, len});
+                                 {present + lo_s, len},
+                                 {active + lo_s, len});
               }
               Count local = 0;
               for (std::int64_t b = lo; b < hi; ++b) {
                 const auto bi = static_cast<std::size_t>(b);
-                if (s.bot_present[bi] != 0) {
-                  if (always_active) bot_active[bi] = 1;
-                  local += bot_active[bi] != 0 ? 1 : 0;
-                } else {
-                  bot_active[bi] = 0;
-                }
+                const std::uint8_t on =
+                    present[bi] != 0 && (all_on || active[bi] != 0);
+                active[bi] = on;
+                local += on;
               }
               s.active_partials[static_cast<std::size_t>(lo / kGrain)] +=
                   local;
@@ -462,64 +400,54 @@ ClientSimResult ClientLevelSimulator::run() {
       for (const Count c : s.active_partials) active_total += c;
     }
 
-    // 3. Re-pollution: a group without a bot can never wake up, so only the
-    //    armed groups are visited.  Attacked flags per armed group in
-    //    parallel (a group reads only its bot slice), then serial
-    //    application in list order, which is creation order: the pool
-    //    append order is part of what the recorded digests pin.  Groups
-    //    that stay clean stay armed.
-    if (!s.armed.empty()) {
-      const auto na = static_cast<std::int64_t>(s.armed.size());
-      s.armed_hit.resize(s.armed.size());
-      sweep(workers, na, static_cast<std::int64_t>(s.bot_arena.size()), 256,
-            [&](std::int64_t lo, std::int64_t hi) {
-              for (std::int64_t j = lo; j < hi; ++j) {
-                const auto& grp = s.groups[static_cast<std::size_t>(
-                    s.armed[static_cast<std::size_t>(j)])];
-                std::uint8_t hit = 0;
-                for (Count k = grp.bbegin; k < grp.bbegin + grp.bsize; ++k) {
-                  hit |= bot_active[static_cast<std::size_t>(
-                      s.bot_arena[static_cast<std::size_t>(k)])];
-                }
-                s.armed_hit[static_cast<std::size_t>(j)] = hit;
-              }
-            });
-      std::size_t keep = 0;
-      for (std::size_t j = 0; j < s.armed.size(); ++j) {
-        const Count g = s.armed[j];
-        if (s.armed_hit[j] == 0) {
-          s.armed[keep++] = g;
+    // 3. Re-pollution: a kept group is hit when one of its bots woke up.
+    //    Hit groups rejoin the pool in creation order (the pool append order
+    //    is part of what the recorded digests pin): `size` benign tokens,
+    //    then the bots written back at their offsets.  Groups that stay
+    //    clean, and their slots, move down in place.
+    if (!s.groups.empty()) {
+      const std::uint8_t* const act = s.act.data();
+      std::size_t keep = 0, slot_in = 0, slot_out = 0;
+      for (std::size_t g = 0; g < s.groups.size(); ++g) {
+        const SoaState::Group grp = s.groups[g];
+        const SoaState::Slot* const gs = s.slots.data() + slot_in;
+        slot_in += static_cast<std::size_t>(grp.bots);
+        std::uint8_t hit = 0;
+        for (Token k = 0; k < grp.bots; ++k) hit |= act[gs[k].token];
+        if (hit == 0) {
+          std::copy_n(gs, grp.bots, s.slots.data() + slot_out);
+          slot_out += static_cast<std::size_t>(grp.bots);
+          s.groups[keep++] = grp;
           continue;
         }
-        auto& grp = s.groups[static_cast<std::size_t>(g)];
-        s.pool_ids.insert(
-            s.pool_ids.end(), s.member_arena.begin() + grp.mbegin,
-            s.member_arena.begin() + grp.mbegin + grp.msize);
-        metrics.repolluted_benign += grp.msize - grp.bsize;
-        s.pool_bot_count += grp.bsize;
-        s.saved_benign -= grp.msize - grp.bsize;
-        s.arena_live -= grp.msize;
-        grp.alive = false;
+        const std::size_t base = s.pool.size();
+        s.pool.resize(base + static_cast<std::size_t>(grp.size), Token{0});
+        for (Token k = 0; k < grp.bots; ++k) {
+          s.pool[base + static_cast<std::size_t>(gs[k].offset)] = gs[k].token;
+        }
+        metrics.repolluted_benign += grp.size - grp.bots;
+        s.pool_bot_count += grp.bots;
+        s.saved_benign -= grp.size - grp.bots;
+        s.saved_clients -= grp.size;
       }
-      s.armed.resize(keep);
-      s.compact_arenas();
+      s.groups.resize(keep);
+      s.slots.resize(slot_out);
     }
 
     // 4. Shuffle the pool across a fresh replica set.
-    metrics.pool_clients = static_cast<Count>(s.pool_ids.size());
+    metrics.pool_clients = static_cast<Count>(s.pool.size());
     metrics.pool_bots = s.pool_bot_count;
     metrics.active_attackers = active_total;
     metrics.away_bots = static_cast<Count>(s.away.size());
 
-    if (!s.pool_ids.empty()) {
+    if (!s.pool.empty()) {
       if (!config_.controller.use_mle) {
         controller.set_bot_estimate(metrics.pool_bots);
       } else if (!prev_obs.has_value()) {
-        controller.set_bot_estimate(std::max<Count>(
-            1, static_cast<Count>(s.pool_ids.size()) / 10));
+        controller.set_bot_estimate(
+            std::max<Count>(1, metrics.pool_clients / 10));
       }
-      const auto decision = controller.decide(
-          static_cast<Count>(s.pool_ids.size()), prev_obs);
+      const auto decision = controller.decide(metrics.pool_clients, prev_obs);
 
       if (!decision.execute) {
         // Cost-aware decline: the plan's priced net save fell below the
@@ -530,12 +458,11 @@ ClientSimResult ClientLevelSimulator::run() {
       } else {
         current_replicas = decision.replicas;
 
-        // The one serial data pass: the Fisher-Yates walk is a sequential
-        // swap chain on the shared shuffle stream.  Everything downstream
-        // of it is sharded.
-        shuffle_rng.shuffle(s.pool_ids);
+        // The Fisher-Yates walk is a sequential swap chain on the shared
+        // shuffle stream, so it stays serial.
+        shuffle_rng.shuffle(s.pool);
 
-        const auto np = static_cast<std::int64_t>(s.pool_ids.size());
+        const auto np = static_cast<std::int64_t>(s.pool.size());
         const std::size_t replica_count = decision.plan.replica_count();
         const auto np_buckets = static_cast<std::int64_t>(replica_count);
         s.offsets.resize(replica_count + 1);
@@ -545,97 +472,66 @@ ClientSimResult ClientLevelSimulator::run() {
         }
 
         // Bucket scan: attacked flag + bot count per bucket, one contiguous
-        // read of the pool per bucket.  The id-indexed activity column is 0
-        // for benign members, so neither count needs a branch on whether
-        // the member is a bot (bots sit at random pool positions, and that
-        // branch mispredicts).
+        // read of the pool per bucket.  act[0] is 0 for benign members, so
+        // neither count needs a branch on whether the member is a bot (bots
+        // sit at random pool positions, and that branch mispredicts).
         s.bucket_attacked.assign(replica_count, 0);
         s.bucket_bots.assign(replica_count, 0);
-        const std::uint8_t* const active = s.active.data();
         sweep(workers, np_buckets, np,
               1, [&](std::int64_t lo, std::int64_t hi) {
+          const std::uint8_t* const act = s.act.data();
+          const Token* const tokens = s.pool.data();
           for (std::int64_t r = lo; r < hi; ++r) {
             const auto rr = static_cast<std::size_t>(r);
             Count bots_here = 0;
             std::uint8_t attacked = 0;
             for (Count i = s.offsets[rr]; i < s.offsets[rr + 1]; ++i) {
-              const Count id = s.pool_ids[static_cast<std::size_t>(i)];
-              bots_here += id >= n_benign;
-              attacked |= active[static_cast<std::size_t>(id)];
+              const Token t = tokens[static_cast<std::size_t>(i)];
+              bots_here += t != 0;
+              attacked |= act[static_cast<std::size_t>(t)];
             }
             s.bucket_bots[rr] = bots_here;
             s.bucket_attacked[rr] = attacked;
           }
         });
 
-        // Partition destinations (serial over P — cheap), then parallel
-        // per-bucket copies into disjoint ranges: attacked buckets stay in
-        // the pool (in replica order),
-        // clean non-empty buckets become saved groups.
-        s.next_off.assign(replica_count, 0);
-        s.grp_m_off.assign(replica_count, 0);
-        s.grp_b_off.assign(replica_count, 0);
-        const auto m_base = static_cast<Count>(s.member_arena.size());
-        const auto b_base = static_cast<Count>(s.bot_arena.size());
-        Count next_n = 0, new_members = 0, new_group_bots = 0;
-        for (std::size_t r = 0; r < replica_count; ++r) {
-          const Count sz = s.offsets[r + 1] - s.offsets[r];
-          if (s.bucket_attacked[r] != 0) {
-            s.next_off[r] = next_n;
-            next_n += sz;
-          } else if (sz > 0) {
-            s.grp_m_off[r] = m_base + new_members;
-            s.grp_b_off[r] = b_base + new_group_bots;
-            new_members += sz;
-            new_group_bots += s.bucket_bots[r];
-          }
-        }
-        s.next_ids.resize(static_cast<std::size_t>(next_n));
-        s.member_arena.resize(static_cast<std::size_t>(m_base + new_members));
-        s.bot_arena.resize(static_cast<std::size_t>(b_base + new_group_bots));
-        sweep(workers, np_buckets, np,
-              1, [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t r = lo; r < hi; ++r) {
-            const auto rr = static_cast<std::size_t>(r);
-            const Count begin = s.offsets[rr];
-            const Count sz = s.offsets[rr + 1] - begin;
-            if (sz == 0) continue;
-            if (s.bucket_attacked[rr] != 0) {
-              std::copy_n(s.pool_ids.begin() + begin, sz,
-                          s.next_ids.begin() + s.next_off[rr]);
-            } else {
-              std::copy_n(s.pool_ids.begin() + begin, sz,
-                          s.member_arena.begin() + s.grp_m_off[rr]);
-              Count w = s.grp_b_off[rr];
-              for (Count i = begin; i < begin + sz; ++i) {
-                const Count id = s.pool_ids[static_cast<std::size_t>(i)];
-                if (id >= n_benign) {
-                  s.bot_arena[static_cast<std::size_t>(w++)] = id - n_benign;
-                }
-              }
-            }
-          }
-        });
-        Count saved_this_round = 0;
-        Count next_pool_bots = 0;
+        // Partition, serial in replica order: an attacked bucket's tokens
+        // move down to the end of the next pool (in place: the write
+        // position never passes the bucket's own start), and a clean
+        // non-empty bucket becomes a saved group, kept only if it holds a
+        // bot.
+        Token* const tokens = s.pool.data();
+        Count next_n = 0, next_pool_bots = 0, saved_this_round = 0;
         std::vector<bool> attacked_flags(replica_count, false);
         for (std::size_t r = 0; r < replica_count; ++r) {
-          const Count sz = s.offsets[r + 1] - s.offsets[r];
+          const Count begin = s.offsets[r];
+          const Count sz = s.offsets[r + 1] - begin;
+          const Count bots_here = s.bucket_bots[r];
           if (s.bucket_attacked[r] != 0) {
             attacked_flags[r] = true;
             ++metrics.attacked_replicas;
-            next_pool_bots += s.bucket_bots[r];
-          } else if (sz > 0) {
-            s.groups.push_back({s.grp_m_off[r], sz, s.grp_b_off[r],
-                                s.bucket_bots[r], true});
-            if (s.bucket_bots[r] > 0) {
-              s.armed.push_back(static_cast<Count>(s.groups.size()) - 1);
+            next_pool_bots += bots_here;
+            if (next_n != begin) {
+              std::memmove(tokens + next_n, tokens + begin,
+                           static_cast<std::size_t>(sz) * sizeof(Token));
             }
-            s.saved_benign += sz - s.bucket_bots[r];
-            s.arena_live += sz;
+            next_n += sz;
+          } else if (sz > 0) {
+            s.saved_benign += sz - bots_here;
+            s.saved_clients += sz;
             saved_this_round += sz;
+            if (bots_here == 0) continue;
+            for (Count i = 0, found = 0; found < bots_here; ++i) {
+              const Token t = tokens[begin + i];
+              if (t == 0) continue;
+              s.slots.push_back({static_cast<Token>(i), t});
+              ++found;
+            }
+            s.groups.push_back(
+                {static_cast<Token>(sz), static_cast<Token>(bots_here)});
           }
         }
+        s.pool.resize(static_cast<std::size_t>(next_n));
         s.pool_bot_count = next_pool_bots;
         saved_counter.inc(static_cast<std::uint64_t>(saved_this_round));
         prev_obs =
@@ -644,9 +540,9 @@ ClientSimResult ClientLevelSimulator::run() {
         // 5. Every pool bot witnessed a shuffle.  Strategies that react get
         //    their on_shuffled_one pass (sharded; per-bot streams make chunk
         //    order irrelevant); strategies that can depart additionally get
-        //    the away-list partition.  For everything else on_shuffled_one is
-        //    a stateless no-op that draws nothing, so the pass is skipped
-        //    outright.
+        //    the away-list partition, in place and in pool order.  For
+        //    everything else on_shuffled_one is a stateless no-op that draws
+        //    nothing, so the pass is skipped outright.
         if (reacts && next_n > 0) {
           const core::StrategyContext shuffled_ctx{round, current_replicas};
           s.away_buf.assign(static_cast<std::size_t>(next_n),
@@ -655,33 +551,27 @@ ClientSimResult ClientLevelSimulator::run() {
                 [&](std::int64_t lo, std::int64_t hi) {
                   for (std::int64_t i = lo; i < hi; ++i) {
                     const auto ii = static_cast<std::size_t>(i);
-                    const Count id = s.next_ids[ii];
-                    if (id < n_benign) continue;
+                    const Token t = s.pool[ii];
+                    if (t == 0) continue;
                     s.away_buf[ii] = strategy->on_shuffled_one(
                         shuffled_ctx,
-                        s.bot_states[static_cast<std::size_t>(id - n_benign)]);
+                        s.bot_states[static_cast<std::size_t>(t - 1)]);
                   }
                 });
           if (departs) {
-            s.stay_ids.clear();
-            s.stay_ids.reserve(static_cast<std::size_t>(next_n));
-            for (std::int64_t i = 0; i < next_n; ++i) {
-              const auto ii = static_cast<std::size_t>(i);
-              if (s.away_buf[ii] >= 0) {
-                const Count id = s.next_ids[ii];
-                s.away.push_back({id, s.away_buf[ii]});
-                s.bot_present[static_cast<std::size_t>(id - n_benign)] = 0;
-                --s.pool_bot_count;
-              } else {
-                s.stay_ids.push_back(s.next_ids[ii]);
+            std::size_t keep = 0;
+            for (std::size_t i = 0; i < s.pool.size(); ++i) {
+              const Token t = s.pool[i];
+              if (s.away_buf[i] < 0) {
+                s.pool[keep++] = t;
+                continue;
               }
+              s.away.push_back({t, s.away_buf[i]});
+              s.bot_present[static_cast<std::size_t>(t - 1)] = 0;
+              --s.pool_bot_count;
             }
-            s.pool_ids.swap(s.stay_ids);
-          } else {
-            s.pool_ids.swap(s.next_ids);
+            s.pool.resize(keep);
           }
-        } else {
-          s.pool_ids.swap(s.next_ids);
         }
       }
     }
@@ -689,7 +579,7 @@ ClientSimResult ClientLevelSimulator::run() {
     // 6. Benign safety is an O(1) read of the running totals (no rescan of
     //    the saved clients).
     metrics.benign_safe = s.saved_benign;
-    metrics.saved_clients = s.arena_live;
+    metrics.saved_clients = s.saved_clients;
 
     rounds_counter.inc();
     repolluted_counter.inc(

@@ -1,8 +1,9 @@
 // Client-level shuffle simulator with adversarial strategies.
 //
 // Unlike the count-based ShuffleSimulator (which assumes always-on bots and
-// tracks only population sizes), this simulator tracks every client so bots
-// can execute the evasive strategies of paper §VII:
+// tracks only population sizes), this simulator tracks every bot's place in
+// the client population so bots can execute the evasive strategies of paper
+// §VII:
 //
 //   * on-off bots may stay dormant through a shuffle, get "saved" onto a
 //     non-shuffling replica together with benign clients, and later wake up
@@ -18,21 +19,27 @@
 // the replica servers"): every round it shuffles exactly the attacked
 // replicas' clients and leaves clean replicas alone.
 //
-// Engine design (million-client scale): the client population lives in a
-// struct-of-arrays store — flat per-client bot-index and activity columns,
-// the shuffling pool as a flat id array, saved groups as slices of flat
-// member/bot arenas plus the list of those holding a bot, and per-bot
-// behavior state in a flat `std::vector<core::BotState>` — so a round's
-// activity pass, re-pollution scan, bucket scan and partition are contiguous
-// sweeps instead of pointer-chasing, and benign-safety accounting is O(1)
-// running totals instead of a full rescan of every saved client per round.  The sweeps are
-// sharded across a `util::ThreadPool` (`ClientSimConfig::threads`) with
-// chunk boundaries that depend only on the data, and every random draw comes
-// from either the serial shuffle stream or a per-bot `util::SmallRng` fork —
-// so results are bit-identical at every thread count (EXPECT_EQ, enforced by
-// tests/sim/client_sim_golden_test.cpp).  The same test pins the engine to
-// round-by-round goldens and recorded digests of the original
-// array-of-structs serial engine, which it replaced.
+// Engine design (million-client scale): a round's outcome depends only on
+// where the bots land, so the store gives a benign client no identity.  The
+// shuffling pool is a flat array of 4-byte tokens — 0 for every benign
+// client, b + 1 for bot b — and the activity column is indexed by token, so
+// act[0] = 0 covers every benign member and the bucket scan needs no branch.
+// A saved group is its size plus its bots' {offset, token} slots, and it is
+// kept only while it holds a bot: a group without one can never be
+// re-polluted, so it lives on only in the O(1) running totals.  The
+// partition compacts the attacked buckets in place, and re-pollution
+// rebuilds a hit group as `size` benign tokens with its bots written back at
+// their offsets.  Per-bot behavior state is a flat
+// `std::vector<core::BotState>`.  The activity, bucket-scan and
+// shuffled-bot sweeps are sharded across a `util::ThreadPool`
+// (`ClientSimConfig::threads`) with chunk boundaries that depend only on the
+// data, and every random draw comes from either the serial shuffle stream or
+// a per-bot `util::SmallRng` fork — so results are bit-identical at every
+// thread count (EXPECT_EQ, enforced by tests/sim/client_sim_golden_test.cpp).
+// Rng::shuffle's draws depend only on the pool's length, so the token pool
+// places every bot exactly where the client-id pools before it did; the same
+// test pins the engine to round-by-round goldens and recorded digests of the
+// original array-of-structs serial engine.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +70,7 @@ inline constexpr std::string_view kMetricClientPoolSize =
     "client.pool_size";  // histogram (one observation per round)
 
 struct ClientSimConfig {
+  /// benign + bots must fit the store's 32-bit tokens (<= INT32_MAX).
   Count benign = 1000;
   Count bots = 50;
   StrategyParams strategy;
@@ -74,9 +82,10 @@ struct ClientSimConfig {
   /// convention).  Results are bit-identical at every setting.
   Count threads = 0;
   /// Verify the conservation invariant at the end of every round: every
-  /// client id is in exactly one of {pool, saved group, away}, and the
-  /// engine's running totals match a recount.  Throws std::logic_error on
-  /// violation.  O(clients) per round — for tests, not production runs.
+  /// bot is in exactly one of {pool, saved group, away}, the benign clients
+  /// in the pool and the saved groups add up to `benign`, and the engine's
+  /// running totals match a recount.  Throws std::logic_error on violation.
+  /// O(pool + bots) per round — for tests, not production runs.
   bool audit = false;
   /// Metrics sink for the run (nullptr = the simulator uses a private
   /// registry per run; the result snapshot is then exactly this run's

@@ -18,7 +18,7 @@
 // exactly what re-planning over the remaining pool each round models.
 //
 // Stateful adversaries (dormant, quitting, churning or re-scanning bots)
-// need per-client state; they run in sim::ClientLevelSimulator.
+// need per-bot state and placement; they run in sim::ClientLevelSimulator.
 //
 // Observability: every run records into an obs::Registry — its own private
 // one by default, or an externally scoped one via ShuffleSimConfig::registry

@@ -38,8 +38,14 @@
 
 namespace shuffledef::util {
 
-/// splitmix64: used to stretch user seeds into well-distributed state.
-std::uint64_t splitmix64(std::uint64_t& state);
+/// splitmix64: used to stretch user seeds into well-distributed state, and
+/// the whole of SmallRng's step (inline: every per-bot draw pays it).
+inline std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
 
 /// The 64-bit Mersenne Twister ([rand.eng.mers] with the mt19937_64
 /// parameters of [rand.predef]): same 312-word state, same seed_seq

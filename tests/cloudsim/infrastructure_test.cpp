@@ -146,6 +146,19 @@ TEST(Scenario, RejectsDegenerateConfig) {
   ScenarioConfig cfg2;
   cfg2.initial_replicas = 0;
   EXPECT_THROW(Scenario{cfg2}, std::invalid_argument);
+  for (const std::int32_t lbs : {0, -3}) {
+    ScenarioConfig cfg3;
+    cfg3.load_balancers_per_domain = lbs;
+    try {
+      Scenario s(cfg3);
+      ADD_FAILURE() << "load_balancers_per_domain = " << lbs << ": accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "load_balancers_per_domain must be >= 1"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Scenario, RejectsMalformedNetworkNicAndTimingFields) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "obs/registry.h"
 
 namespace shuffledef::sim {
@@ -30,6 +33,17 @@ TEST(ClientSim, ConfigValidation) {
   cfg = base_config();
   cfg.threads = -2;
   EXPECT_THROW(ClientLevelSimulator{cfg}, std::invalid_argument);
+  // Pool tokens and group offsets are 32-bit.
+  cfg = base_config();
+  cfg.benign = std::numeric_limits<std::int32_t>::max();
+  cfg.bots = 1;
+  EXPECT_THROW(ClientLevelSimulator{cfg}, std::invalid_argument);
+  const auto violations = cfg.violations();
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0],
+            "benign + bots must be <= 2147483647 (32-bit client tokens)");
+  cfg.benign -= 1;
+  EXPECT_TRUE(cfg.violations().empty());
 }
 
 TEST(ClientSim, ViolationsCollectsEverythingWithPrefixes) {

@@ -207,6 +207,25 @@ TEST(RngIdentity, ShuffleMatchesStdFisherYates) {
   }
 }
 
+// The client-level simulator's pool holds 4-byte tokens where it once held
+// 8-byte client ids; its digests stay the same only because the shuffle's
+// draws depend on nothing but the vector's length.
+TEST(RngIdentity, ShuffleDrawsDependOnlyOnLength) {
+  for (const std::size_t n : {0, 1, 2, 17, 1000, 100000}) {
+    std::vector<std::int32_t> narrow(n);
+    std::iota(narrow.begin(), narrow.end(), 0);
+    std::vector<std::int64_t> wide(narrow.begin(), narrow.end());
+    Rng narrow_rng(77);
+    Rng wide_rng(77);
+    narrow_rng.shuffle(narrow);
+    wide_rng.shuffle(wide);
+    ASSERT_TRUE(std::equal(narrow.begin(), narrow.end(), wide.begin(),
+                           wide.end()))
+        << "n " << n;
+    ASSERT_EQ(narrow_rng.next_u64(), wide_rng.next_u64()) << "n " << n;
+  }
+}
+
 std::uint64_t fnv1a(std::uint64_t h, std::int64_t v) {
   for (int i = 0; i < 8; ++i) {
     h ^= (static_cast<std::uint64_t>(v) >> (8 * i)) & 0xFF;
